@@ -42,6 +42,10 @@
 #      Also release: the churn rounds are real oversubscribed threads,
 #      and the RAII permit-return path only earns trust under optimized
 #      unwinding.
+#   9. benchmark build: the `perfbench/` package (its own workspace,
+#      path deps on `crates/`) must still compile against the crates'
+#      API, so a change that would break the repository benchmark fails
+#      here rather than when the benchmark is run.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -72,5 +76,8 @@ cargo test -q --offline --release --test atomic_backend
 
 echo "== crash/churn gate (fault injection + arena churn, release) =="
 cargo test -q --offline --release --test crash_tolerance --test arena_churn
+
+echo "== benchmark build (perfbench, release) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "ci.sh: all green"

@@ -166,7 +166,8 @@ fn bench_contended() {
 /// Contended throughput vs `k` for every protocol, all driven through the
 /// generic `llr_core::session::Handle` (the `Renaming::handle` path). One
 /// thread per pid, each doing `OPS` acquire/release cycles; the reported
-/// figure is the median wall-clock converted to aggregate ops/sec.
+/// figure is the median wall-clock per op (divided over all threads' ops),
+/// whose reciprocal is the aggregate ops/sec.
 ///
 /// Besides the printed table, the sweep is persisted to
 /// `results/bench_contended.csv` with one row per (protocol, k).
@@ -185,7 +186,9 @@ fn bench_contended_scaling() {
         let ns = time_ns_per_op(total, SAMPLES, || {
             std::hint::black_box(contended_ops(rn, pids, OPS));
         });
-        let ops_per_sec = 1e9 / ns * pids.len() as f64;
+        // `ns` is wall time over every thread's ops, so its reciprocal is
+        // already the aggregate rate.
+        let ops_per_sec = 1e9 / ns;
         report("contended_scaling", &format!("{protocol}/{k}"), ns);
         rows.push(vec![
             protocol.to_string(),

@@ -46,8 +46,8 @@ struct RunStats {
     release: LogHistogram,
     /// Total acquire/release cycles across all threads.
     cycles: u64,
-    /// Longest per-thread measured-phase wall time — the run is only as
-    /// done as its slowest thread, so throughput divides by this.
+    /// Wall time of the measured phase on one clock: from the first
+    /// client's start after the shared barrier to the last client's end.
     elapsed: Duration,
 }
 
@@ -58,15 +58,27 @@ impl RunStats {
 }
 
 /// Runs `ops_per_thread` timed acquire/release cycles on `arena` from one
-/// thread per pid (barrier-synchronized start) and merges the per-thread
-/// histograms.
+/// thread per pid and merges the per-thread histograms.
+///
+/// The clients start together at one barrier. The run's wall time spans
+/// the earliest client start to the latest client end, read from the one
+/// monotonic clock: a per-thread span undercounts when clients take turns
+/// on fewer cores, and a clock read by a separate timing thread after the
+/// barrier can come late for the same reason (on 2 cores it once read
+/// after every client had finished).
 fn measure<R: Renaming + Sync>(
     arena: &NameArena<R>,
     pids: &[u64],
     ops_per_thread: u64,
 ) -> RunStats {
     let barrier = Barrier::new(pids.len());
-    let mut per_thread: Vec<(LogHistogram, LogHistogram, Duration)> = Vec::new();
+    let mut stats = RunStats {
+        acquire: LogHistogram::new(),
+        release: LogHistogram::new(),
+        cycles: ops_per_thread * pids.len() as u64,
+        elapsed: Duration::ZERO,
+    };
+    let mut span: Option<(Instant, Instant)> = None;
     std::thread::scope(|s| {
         let mut joins = Vec::new();
         for &pid in pids {
@@ -81,7 +93,7 @@ fn measure<R: Renaming + Sync>(
                     c.release();
                 }
                 barrier.wait();
-                let run_start = Instant::now();
+                let start = Instant::now();
                 for _ in 0..ops_per_thread {
                     let t0 = Instant::now();
                     std::hint::black_box(c.acquire());
@@ -91,23 +103,18 @@ fn measure<R: Renaming + Sync>(
                     acq.record((t1 - t0).as_nanos() as u64);
                     rel.record((t2 - t1).as_nanos() as u64);
                 }
-                (acq, rel, run_start.elapsed())
+                (acq, rel, start, Instant::now())
             }));
         }
         for j in joins {
-            per_thread.push(j.join().expect("bench thread panicked"));
+            let (acq, rel, start, end) = j.join().expect("bench thread panicked");
+            stats.acquire.merge(&acq);
+            stats.release.merge(&rel);
+            span = Some(span.map_or((start, end), |(s0, e0)| (s0.min(start), e0.max(end))));
         }
     });
-    let mut stats = RunStats {
-        acquire: LogHistogram::new(),
-        release: LogHistogram::new(),
-        cycles: ops_per_thread * pids.len() as u64,
-        elapsed: Duration::ZERO,
-    };
-    for (acq, rel, elapsed) in &per_thread {
-        stats.acquire.merge(acq);
-        stats.release.merge(rel);
-        stats.elapsed = stats.elapsed.max(*elapsed);
+    if let Some((start, end)) = span {
+        stats.elapsed = end - start;
     }
     stats
 }

@@ -64,7 +64,6 @@ use llr_mc::{
     CheckError, CheckStats, Footprint, MachineStatus, ModelChecker, StepMachine, Violation, World,
 };
 use llr_mem::{AtomicMemory, Counting, Memory, Word};
-use std::collections::HashMap;
 use std::fmt::Debug;
 
 pub use llr_mc::Engine;
@@ -602,14 +601,16 @@ impl<P: ProtocolCore> StepMachine for Session<P> {
 pub fn unique_names_invariant<P: ProtocolCore>(
     world: &World<'_, Session<P>>,
 ) -> Result<(), String> {
-    let mut held: HashMap<Name, usize> = HashMap::new();
-    for (i, m) in world.machines.iter().enumerate() {
+    // Runs once per explored state, so it scans the ≤ k earlier holders
+    // instead of allocating a map.
+    let machines = world.machines;
+    for (i, m) in machines.iter().enumerate() {
         let Some(name) = m.holding() else { continue };
         let d = m.core().dest_size();
         if name >= d {
             return Err(format!("machine {i} holds out-of-range name {name} (D = {d})"));
         }
-        if let Some(j) = held.insert(name, i) {
+        if let Some(j) = machines[..i].iter().position(|o| o.holding() == Some(name)) {
             return Err(format!("machines {j} and {i} concurrently hold name {name}"));
         }
     }
@@ -629,24 +630,32 @@ pub fn unique_names_invariant<P: ProtocolCore>(
 pub fn crash_robust_uniqueness<P: ProtocolCore>(
     world: &World<'_, Session<P>>,
 ) -> Result<(), String> {
-    let mut claimed: HashMap<Name, String> = HashMap::new();
-    for (i, m) in world.machines.iter().enumerate() {
-        let d = m.core().dest_size();
-        for &name in m.leaked() {
-            if name >= d {
-                return Err(format!("machine {i} leaked out-of-range name {name} (D = {d})"));
-            }
-            if let Some(prev) = claimed.insert(name, format!("machine {i} (leaked)")) {
-                return Err(format!("{prev} and machine {i} (leaked) both claim name {name}"));
-            }
+    // Every claim in order — per machine, its leaked names, then its held
+    // one — as `(machine, name, leaked)`. Each claim is checked against
+    // the claims before it by rescanning them, so the common case
+    // allocates nothing.
+    let claims = || {
+        world.machines.iter().enumerate().flat_map(|(i, m)| {
+            let leaked = m.leaked().iter().map(move |&name| (i, name, true));
+            leaked.chain(m.holding().map(|name| (i, name, false)))
+        })
+    };
+    let who = |i: usize, leaked: bool| {
+        if leaked {
+            format!("machine {i} (leaked)")
+        } else {
+            format!("machine {i}")
         }
-        if let Some(name) = m.holding() {
-            if name >= d {
-                return Err(format!("machine {i} holds out-of-range name {name} (D = {d})"));
-            }
-            if let Some(prev) = claimed.insert(name, format!("machine {i}")) {
-                return Err(format!("{prev} and machine {i} both claim name {name}"));
-            }
+    };
+    for (n, (i, name, leaked)) in claims().enumerate() {
+        let d = world.machines[i].core().dest_size();
+        if name >= d {
+            let verb = if leaked { "leaked" } else { "holds" };
+            return Err(format!("machine {i} {verb} out-of-range name {name} (D = {d})"));
+        }
+        if let Some((j, _, prev_leaked)) = claims().take(n).find(|c| c.1 == name) {
+            let (prev, this) = (who(j, prev_leaked), who(i, leaked));
+            return Err(format!("{prev} and {this} both claim name {name}"));
         }
     }
     Ok(())

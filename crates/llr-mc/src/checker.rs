@@ -4,9 +4,10 @@
 //! engine (the fallback that the parallel frontier engine in
 //! [`crate::engine`] is checked against), and the shared state-key
 //! machinery: a reusable [`KeyBuilder`] so the hot path performs no
-//! per-transition allocation, and an incremental 128-bit hash for the
-//! memory-lean dedup mode.
+//! per-transition allocation (the 128-bit hash for the memory-lean dedup
+//! mode lives in [`crate::hash`]).
 
+use crate::hash::{hash128, HashSet128};
 use crate::por::AmpleCtx;
 use crate::rng::SplitMix64;
 use crate::spill::SpillConfig;
@@ -250,32 +251,6 @@ impl KeyBuilder {
     }
 }
 
-#[inline]
-fn mix64(mut z: u64) -> u64 {
-    // The SplitMix64 finalizer: full avalanche in two multiplies.
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Incremental 128-bit state-key hash: two independently-seeded
-/// mix-chained 64-bit lanes over the key words. A collision would
-/// silently merge two states; with `n` states the probability is about
-/// `n²/2¹²⁹` (< 10⁻²⁴ for 10⁸ states), which the large configurations
-/// accept — CI-sized runs use exact dedup.
-pub(crate) fn hash128(key: &[u64]) -> u128 {
-    let mut h1: u64 = 0x243F_6A88_85A3_08D3; // first 64 fractional bits of π
-    let mut h2: u64 = 0x1319_8A2E_0370_7344; // next 64
-    for &w in key {
-        h1 = mix64(h1 ^ w);
-        h2 = mix64(h2 ^ w.rotate_left(32));
-    }
-    // Fold the length in so prefix keys cannot collide trivially.
-    h1 = mix64(h1 ^ key.len() as u64);
-    h2 = mix64(h2 ^ (key.len() as u64).rotate_left(32));
-    ((h1 as u128) << 64) | h2 as u128
-}
-
 // ---------------------------------------------------------------------------
 // The checker
 // ---------------------------------------------------------------------------
@@ -365,10 +340,13 @@ impl<M: StepMachine> ModelChecker<M> {
     /// Deduplicate visited states by a 128-bit hash instead of the full
     /// state vector.
     ///
-    /// This reduces memory by an order of magnitude for large runs. A hash
-    /// collision would silently prune a reachable state; with a 128-bit
-    /// hash and `n` states the collision probability is about `n²/2¹²⁹`
-    /// (< 10⁻²⁴ for 10⁸ states), which we accept for the large
+    /// This reduces memory by an order of magnitude for large runs. The
+    /// hash is two independently seeded 64-bit halves; each absorbs every
+    /// key word, two at a time, through a folded 64×64→128-bit multiply,
+    /// then the key length, then the SplitMix64 finalizer. A hash
+    /// collision would silently prune a reachable state; treating the
+    /// halves as independent, `n` states collide with probability about
+    /// `n²/2¹²⁹` (< 10⁻²⁴ for 10⁸ states), which we accept for the large
     /// configurations; the CI-sized runs use exact dedup.
     pub fn hashed_dedup(mut self, on: bool) -> Self {
         self.hashed_dedup = on;
@@ -647,7 +625,7 @@ impl<M: StepMachine> ModelChecker<M> {
         let mem = SimMemory::new(&self.layout);
         let mut stats = CheckStats::default();
         let mut visited_exact: HashSet<Box<[u64]>> = HashSet::new();
-        let mut visited_hash: HashSet<u128> = HashSet::new();
+        let mut visited_hash = HashSet128::default();
         let mut kb = KeyBuilder::default();
 
         let done0 = vec![false; self.machines.len()];

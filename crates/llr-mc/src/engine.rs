@@ -7,7 +7,9 @@
 //!
 //! * the **frozen** visited set (all states discovered in earlier layers)
 //!   is a plain sharded `HashMap` read lock-free by every worker — it is
-//!   immutable for the whole layer;
+//!   immutable for the whole layer. Under hashed dedup its key is the
+//!   state's [`hash128`], and the table uses that hash's low bits as is
+//!   ([`PreHashed`](crate::hash::PreHashed)) instead of hashing it again;
 //! * states first discovered *in this layer* go into **pending** — 64
 //!   mutex-guarded shards keyed like the frozen set. Each pending entry
 //!   remembers which worker materialized the successor state and the
@@ -32,14 +34,14 @@
 //! [`CheckStats::peak_resident_bytes`](crate::CheckStats::peak_resident_bytes).
 
 use crate::checker::{
-    hash128, CheckError, CheckStats, KeyBuilder, ModelChecker, Violation, World,
-    CRASH_SCHEDULE_BASE,
+    CheckError, CheckStats, KeyBuilder, ModelChecker, Violation, World, CRASH_SCHEDULE_BASE,
 };
+use crate::hash::{hash128, BuildPreHashed, PackedHash};
 use crate::por::AmpleCtx;
 use crate::StepMachine;
 use llr_mem::{Loc, Memory as _, SimMemory, Word};
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::{hash_map::RandomState, HashMap};
+use std::hash::{BuildHasher, Hash};
 use std::sync::Mutex;
 
 /// Shard count for both the frozen and pending maps. Power of two so the
@@ -61,23 +63,30 @@ pub(crate) fn shard_of(h: u128) -> usize {
 /// support lookup by the borrowed key buffer so the miss path allocates
 /// nothing.
 pub(crate) trait EngineKey: Eq + Hash + Send + Sync + Sized {
+    /// The table hasher: the default one for full keys, a pass-through
+    /// for state hashes (they are already mixed).
+    type Hasher: BuildHasher + Default + Send + Sync;
     fn make(buf: &[u64], h: u128) -> Self;
-    fn find<V: Copy>(map: &HashMap<Self, V>, buf: &[u64], h: u128) -> Option<V>;
-    fn find_mut<'m, V>(map: &'m mut HashMap<Self, V>, buf: &[u64], h: u128)
+    fn find<V: Copy>(map: &KeyMap<Self, V>, buf: &[u64], h: u128) -> Option<V>;
+    fn find_mut<'m, V>(map: &'m mut KeyMap<Self, V>, buf: &[u64], h: u128)
         -> Option<&'m mut V>;
     /// Payload bytes of one stored key (for the resident-bytes accounting).
     fn bytes(&self) -> u64;
 }
 
+/// A frozen or pending shard: keys of type `K` under `K`'s hasher.
+pub(crate) type KeyMap<K, V> = HashMap<K, V, <K as EngineKey>::Hasher>;
+
 impl EngineKey for Box<[u64]> {
+    type Hasher = RandomState;
     fn make(buf: &[u64], _h: u128) -> Self {
         buf.into()
     }
-    fn find<V: Copy>(map: &HashMap<Self, V>, buf: &[u64], _h: u128) -> Option<V> {
+    fn find<V: Copy>(map: &KeyMap<Self, V>, buf: &[u64], _h: u128) -> Option<V> {
         map.get(buf).copied()
     }
     fn find_mut<'m, V>(
-        map: &'m mut HashMap<Self, V>,
+        map: &'m mut KeyMap<Self, V>,
         buf: &[u64],
         _h: u128,
     ) -> Option<&'m mut V> {
@@ -88,19 +97,20 @@ impl EngineKey for Box<[u64]> {
     }
 }
 
-impl EngineKey for u128 {
+impl EngineKey for PackedHash {
+    type Hasher = BuildPreHashed;
     fn make(_buf: &[u64], h: u128) -> Self {
-        h
+        h.into()
     }
-    fn find<V: Copy>(map: &HashMap<Self, V>, _buf: &[u64], h: u128) -> Option<V> {
-        map.get(&h).copied()
+    fn find<V: Copy>(map: &KeyMap<Self, V>, _buf: &[u64], h: u128) -> Option<V> {
+        map.get(&h.into()).copied()
     }
     fn find_mut<'m, V>(
-        map: &'m mut HashMap<Self, V>,
+        map: &'m mut KeyMap<Self, V>,
         _buf: &[u64],
         h: u128,
     ) -> Option<&'m mut V> {
-        map.get_mut(&h)
+        map.get_mut(&h.into())
     }
     fn bytes(&self) -> u64 {
         16
@@ -205,7 +215,7 @@ fn step_state<M, K, L>(
     crash: Option<(Loc, Word)>,
     wmem: &SimMemory,
     kb: &mut KeyBuilder,
-    pending: &[Mutex<HashMap<K, Pend>>],
+    pending: &[Mutex<KeyMap<K, Pend>>],
     symmetry: bool,
     record_edges: bool,
     frozen_find: &L,
@@ -339,7 +349,7 @@ where
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn expand_layer<M, K, L>(
     frontier: &[FrontierState<M>],
-    pending: &[Mutex<HashMap<K, Pend>>],
+    pending: &[Mutex<KeyMap<K, Pend>>],
     workers: usize,
     symmetry: bool,
     record_edges: bool,
@@ -485,7 +495,7 @@ where
     let done0 = vec![false; machines0.len()];
 
     let mut stats = CheckStats::default();
-    let mut frozen: Vec<HashMap<K, u32>> = (0..SHARDS).map(|_| HashMap::new()).collect();
+    let mut frozen: Vec<KeyMap<K, u32>> = (0..SHARDS).map(|_| KeyMap::default()).collect();
     let mut parent: Vec<(u32, u8)> = vec![(u32::MAX, 0)];
     let mut terminal: Vec<bool> = Vec::new();
     let mut edges: Vec<(u32, u32)> = Vec::new();
@@ -543,8 +553,8 @@ where
     let check_mem = SimMemory::new(&layout);
 
     while !frontier.is_empty() {
-        let pending: Vec<Mutex<HashMap<K, Pend>>> =
-            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
+        let pending: Vec<Mutex<KeyMap<K, Pend>>> =
+            (0..SHARDS).map(|_| Mutex::new(KeyMap::default())).collect();
         let frozen_ref = &frozen;
         let find = |buf: &[u64], h: u128| K::find(&frozen_ref[shard_of(h)], buf, h);
         // The in-RAM frozen set is the complete visited set, so the cycle
@@ -737,7 +747,7 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
         if self.spill_config().is_some() {
             crate::spill::explore_spilled(self, &invariant, workers).map(|e| e.stats)
         } else if self.hashed() {
-            explore::<M, F, u128>(self, &invariant, workers, false).map(|e| e.stats)
+            explore::<M, F, PackedHash>(self, &invariant, workers, false).map(|e| e.stats)
         } else {
             explore::<M, F, Box<[u64]>>(self, &invariant, workers, false).map(|e| e.stats)
         }

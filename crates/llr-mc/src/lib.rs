@@ -89,6 +89,7 @@ mod checker;
 mod drive;
 mod engine;
 pub mod frontier;
+mod hash;
 mod liveness;
 mod machine;
 mod por;

@@ -36,6 +36,7 @@
 
 use crate::checker::{CheckError, CheckStats, ModelChecker, Violation};
 use crate::engine::{explore, schedule_to, EdgeStore};
+use crate::hash::PackedHash;
 use crate::StepMachine;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -122,7 +123,7 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
         // With a spill budget the edge log lives on disk anyway, so the
         // memory-lean hashed dedup is the only sensible forward pairing.
         let explored = if self.hashed() || self.spill_config().is_some() {
-            explore::<M, _, u128>(self, &ok, workers, true)?
+            explore::<M, _, PackedHash>(self, &ok, workers, true)?
         } else {
             explore::<M, _, Box<[u64]>>(self, &ok, workers, true)?
         };

@@ -82,15 +82,15 @@
 //!                                                    append layer file N+1
 //! ```
 
-use crate::checker::{hash128, CheckError, CheckStats, KeyBuilder, ModelChecker, Violation, World};
+use crate::checker::{CheckError, CheckStats, KeyBuilder, ModelChecker, Violation, World};
 use crate::engine::{
-    expand_layer, frontier_state_bytes, shard_of, EdgeStore, Explored, FrontierState, Pend,
-    PEND_OVERHEAD_BYTES, SHARDS,
+    expand_layer, frontier_state_bytes, shard_of, EdgeStore, Explored, FrontierState, KeyMap,
+    Pend, PEND_OVERHEAD_BYTES, SHARDS,
 };
 use crate::frontier::{LayerReader, LayerRecord, LayerWriter, MachinePool, ParentLog, ScratchDir};
+use crate::hash::{hash128, HashMap128, HashSet128, PackedHash};
 use crate::StepMachine;
 use llr_mem::{Memory as _, SimMemory};
-use std::collections::{HashMap, HashSet};
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -163,7 +163,7 @@ struct SpillSet {
     /// Effective flush threshold.
     threshold: usize,
     /// The in-RAM delta: hashes not yet flushed, sharded like the engine.
-    recent: Vec<HashSet<u128>>,
+    recent: Vec<HashSet128>,
     /// Payload bytes currently in the delta.
     recent_bytes: usize,
     /// Largest delta ever held (for the resident accounting).
@@ -181,7 +181,7 @@ impl SpillSet {
         Self {
             dir: dir.to_path_buf(),
             threshold,
-            recent: (0..SHARDS).map(|_| HashSet::new()).collect(),
+            recent: (0..SHARDS).map(|_| HashSet128::default()).collect(),
             recent_bytes: 0,
             peak_recent_bytes: 0,
             runs: vec![Vec::new(); SHARDS],
@@ -287,12 +287,12 @@ impl SpillSet {
     /// Candidates are sorted per shard; each run file is read once,
     /// sequentially, with a two-pointer join. Shards with no runs or no
     /// candidates cost nothing.
-    fn probe_old(&self, candidates: impl Iterator<Item = u128>) -> io::Result<HashSet<u128>> {
+    fn probe_old(&self, candidates: impl Iterator<Item = u128>) -> io::Result<HashSet128> {
         let mut by_shard: Vec<Vec<u128>> = vec![Vec::new(); SHARDS];
         for h in candidates {
             by_shard[shard_of(h)].push(h);
         }
-        let mut old = HashSet::new();
+        let mut old = HashSet128::default();
         for (shard, cands) in by_shard.iter_mut().enumerate() {
             if cands.is_empty() || self.runs[shard].is_empty() {
                 continue;
@@ -442,8 +442,8 @@ where
     };
 
     while layer_len > 0 {
-        let pending: Vec<Mutex<HashMap<u128, Pend>>> =
-            (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
+        let pending: Vec<Mutex<KeyMap<PackedHash, Pend>>> =
+            (0..SHARDS).map(|_| Mutex::new(KeyMap::default())).collect();
         let mut reader = LayerReader::open(&layer_path)?;
         // Successors materialized this layer, streamed out chunk by
         // chunk; `fresh_base[worker] + idx` is a record ordinal here.
@@ -506,7 +506,7 @@ where
         let mut discovered: Vec<(u128, Pend)> = Vec::new();
         for shard in pending {
             let map = shard.into_inner().expect("shard poisoned");
-            discovered.extend(map);
+            discovered.extend(map.into_values().map(|p| (p.h, p)));
         }
         let candidate_n = discovered.len() as u64;
         let mut old = spill.probe_old(discovered.iter().map(|&(h, _)| h))?;
@@ -530,7 +530,7 @@ where
                 .collect();
             if !patch.is_empty() {
                 patch.sort_unstable();
-                let mut index: HashMap<u128, usize> = discovered
+                let mut index: HashMap128<usize> = discovered
                     .iter()
                     .enumerate()
                     .map(|(i, &(h, _))| (h, i))

@@ -238,43 +238,78 @@ fn onetime_engines_agree() {
     }
 }
 
-/// Hashed dedup must reproduce the exact-dedup counts on a mid-size
-/// instance, sequentially and in parallel.
-#[test]
-fn hashed_dedup_engines_agree() {
-    let exact = split_spec::checker(3, 2, 2)
-        .check(split_spec::unique_names_invariant)
-        .expect("SPLIT verifies");
-    assert_eq!((exact.states, exact.transitions), (48_803, 93_696));
+/// Runs `build()` under exact-dedup DFS, pins its counts to `expect`,
+/// and asserts that hashed-dedup DFS and hashed-dedup BFS at every worker
+/// count reproduce them.
+fn assert_hashed_agrees<M, F>(
+    label: &str,
+    build: impl Fn() -> ModelChecker<M>,
+    invariant: F,
+    expect: (u64, u64),
+) where
+    M: StepMachine + Send + Sync,
+    F: Fn(&World<'_, M>) -> Result<(), String> + Copy,
+{
+    let exact = build()
+        .check(invariant)
+        .unwrap_or_else(|e| panic!("{label}: exact DFS failed:\n{e}"));
+    assert_eq!((exact.states, exact.transitions), expect, "{label}: exact DFS");
 
-    let hashed = split_spec::checker(3, 2, 2)
+    let hashed = build()
         .hashed_dedup(true)
-        .check(split_spec::unique_names_invariant)
-        .expect("SPLIT verifies hashed");
-    assert_eq!(hashed.states, exact.states, "hashed DFS states");
-    assert_eq!(hashed.transitions, exact.transitions, "hashed DFS transitions");
-    assert_eq!(hashed.max_depth, exact.max_depth, "hashed DFS depth");
+        .check(invariant)
+        .unwrap_or_else(|e| panic!("{label}: hashed DFS failed:\n{e}"));
+    assert_eq!(hashed.states, exact.states, "{label}: hashed DFS states");
+    assert_eq!(hashed.transitions, exact.transitions, "{label}: hashed DFS transitions");
+    assert_eq!(hashed.max_depth, exact.max_depth, "{label}: hashed DFS depth");
     assert_eq!(
         hashed.terminal_states, exact.terminal_states,
-        "hashed DFS terminal states"
+        "{label}: hashed DFS terminal states"
     );
 
     for workers in WORKER_COUNTS {
-        let par = split_spec::checker(3, 2, 2)
+        let par = build()
             .hashed_dedup(true)
             .workers(workers)
-            .check_parallel(split_spec::unique_names_invariant)
-            .expect("SPLIT verifies hashed+parallel");
-        assert_eq!(par.states, exact.states, "hashed parallel states ({workers}w)");
+            .check_parallel(invariant)
+            .unwrap_or_else(|e| panic!("{label}: hashed BFS ({workers}w) failed:\n{e}"));
+        assert_eq!(par.states, exact.states, "{label}: hashed BFS states ({workers}w)");
         assert_eq!(
             par.transitions, exact.transitions,
-            "hashed parallel transitions ({workers}w)"
+            "{label}: hashed BFS transitions ({workers}w)"
         );
         assert_eq!(
             par.terminal_states, exact.terminal_states,
-            "hashed parallel terminal states ({workers}w)"
+            "{label}: hashed BFS terminal states ({workers}w)"
         );
     }
+}
+
+/// Hashed dedup must reproduce the exact-dedup counts, sequentially and
+/// in parallel, on the key shapes the benchmark hashes: MA k=3 S=3 over
+/// pids 0,1,2 (`check_ram`'s machines) and FILTER k=3 over GF(5) with
+/// pids from `check_disk`, plus a mid-size SPLIT instance.
+#[test]
+fn hashed_dedup_engines_agree() {
+    assert_hashed_agrees(
+        "SPLIT k=3",
+        || split_spec::checker(3, 2, 2),
+        split_spec::unique_names_invariant,
+        (48_803, 93_696),
+    );
+    assert_hashed_agrees(
+        "MA k=3 S=3",
+        || ma_spec::checker(3, 3, &[0, 1, 2], 1),
+        ma_spec::unique_names_invariant,
+        (50_126, 126_609),
+    );
+    let gf5 = FilterParams::new(3, 25, 1, 5).unwrap();
+    assert_hashed_agrees(
+        "FILTER k=3 GF(5)",
+        || filter_spec::checker(gf5, &[1, 6], 2),
+        filter_spec::combined_invariant,
+        (17_159, 34_002),
+    );
 }
 
 /// The external-memory (spill-to-disk) backend must reproduce the exact

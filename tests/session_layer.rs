@@ -339,6 +339,74 @@ fn session_counts_its_sessions() {
     panic!("session did not terminate");
 }
 
+/// Both generic uniqueness invariants name the first clashing pair, and
+/// say whether a claim was a held name or one leaked by a crash while
+/// Holding. Each session acquires solo on a fresh register file, so all
+/// of them hold the same name.
+#[test]
+fn uniqueness_invariants_name_the_first_clash() {
+    let mut layout = Layout::new();
+    let shape = SplitShape::build(3, &mut layout);
+    let session = |pid: u64| {
+        Session::start(SplitCore::new(shape.clone(), pid), 2)
+            .with_spares(vec![SplitCore::new(shape.clone(), pid + 100)])
+    };
+    let hold = |mut s: Session<SplitCore>| {
+        let mem = AtomicMemory::new(&layout);
+        while s.holding().is_none() {
+            s.step(&mem);
+        }
+        s
+    };
+    let leak = |s: Session<SplitCore>| {
+        let mut s = hold(s);
+        s.crash_restart();
+        s
+    };
+    let name = hold(session(1)).holding().expect("held");
+    let sim = llr_mem::SimMemory::new(&layout);
+    let check = |machines: Vec<Session<SplitCore>>| {
+        let done = vec![false; machines.len()];
+        let world = World {
+            mem: &sim,
+            machines: &machines,
+            done: &done,
+        };
+        (
+            session::unique_names_invariant(&world),
+            session::crash_robust_uniqueness(&world),
+        )
+    };
+
+    let (plain, robust) = check(vec![hold(session(1)), session(2), hold(session(3))]);
+    assert_eq!(plain, Err(format!("machines 0 and 2 concurrently hold name {name}")));
+    assert_eq!(robust, Err(format!("machine 0 and machine 2 both claim name {name}")));
+
+    let (plain, robust) = check(vec![session(1), leak(session(2)), hold(session(3))]);
+    assert_eq!(plain, Ok(()));
+    assert_eq!(
+        robust,
+        Err(format!("machine 1 (leaked) and machine 2 both claim name {name}"))
+    );
+
+    let (plain, robust) = check(vec![session(1), hold(leak(session(2)))]);
+    assert_eq!(plain, Ok(()));
+    assert_eq!(
+        robust,
+        Err(format!("machine 1 (leaked) and machine 1 both claim name {name}"))
+    );
+
+    let (plain, robust) = check(vec![hold(session(1)), leak(session(2))]);
+    assert_eq!(plain, Ok(()));
+    assert_eq!(
+        robust,
+        Err(format!("machine 0 and machine 1 (leaked) both claim name {name}"))
+    );
+
+    let (plain, robust) = check(vec![hold(session(1)), session(2), session(3)]);
+    assert_eq!((plain, robust), (Ok(()), Ok(())));
+}
+
 #[test]
 #[should_panic(expected = "acquire while holding a name")]
 fn handle_rejects_double_acquire() {
