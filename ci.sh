@@ -10,12 +10,14 @@
 #      compiling and passing.
 #   4. fast E2 subset: the engine-equivalence tests re-check the
 #      mid-size rows of results/e2_modelcheck.csv under the sequential
-#      DFS, the parallel BFS engine (1/2/4 workers, exact and hashed
-#      dedup) and the spill-to-disk engine (generous and zero budgets),
-#      pinning the counts byte-for-byte — one family per protocol,
-#      including the rival cores (LevelArray, small splitter networks).
-#      This is the checker hot path; run it in release so it stays fast.
-#   5. frontier-spill gate: the on-disk frontier's file-format property
+#      DFS and the one BFS driver over its RAM stores (1/2/4 workers,
+#      exact and hashed dedup) and its disk stores (generous and zero
+#      budgets), pinning the counts byte-for-byte — one family per
+#      protocol, including the rival cores (LevelArray, small splitter
+#      networks). The checker's unit tests run next to them (state
+#      limit on every store, the fault budget on the disk store). This
+#      is the checker hot path; run it in release so it stays fast.
+#   5. frontier-spill gate: the disk layer store's file-format property
 #      suite (round-trips, loud failure on truncated/torn layer files)
 #      and the disk-CSR liveness differential (every E2 family spill vs
 #      in-RAM, trap reports, and the under-budget regression whose edge
@@ -24,8 +26,8 @@
 #      release, but exactly the code that guards the multi-million-state
 #      E2 rows.
 #   6. POR soundness subset: the partial-order-reduction differential
-#      suite (reduced vs full verdicts/terminals on every family, all
-#      backends) and the footprint audit (declared footprints must
+#      suite (reduced vs full verdicts/terminals on every family, every
+#      engine and store) and the footprint audit (declared footprints must
 #      cover recorded accesses), also in release.
 #   7. real-atomics arena gate: the SimMemory-vs-AtomicMemory
 #      differential suite plus the multi-threaded stress tests in
@@ -62,8 +64,9 @@ echo "== docs (-D warnings) + doctests =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo test -q --offline --doc --workspace
 
-echo "== fast E2 subset (engine equivalence, release) =="
+echo "== fast E2 subset (engine equivalence + checker unit tests, release) =="
 cargo test -q --offline --release --test engine_equivalence
+cargo test -q --offline --release -p llr-mc --lib
 
 echo "== frontier-spill gate (layer format + disk-CSR liveness, release) =="
 cargo test -q --offline --release --test frontier_format --test liveness_spill

@@ -72,7 +72,7 @@ use std::sync::{Condvar, Mutex, PoisonError};
 /// protocol operation is O(k) register accesses) and then parks on a
 /// condvar so waiters cost nothing while blocked.
 #[derive(Debug)]
-struct Gate {
+pub(crate) struct Gate {
     /// Free permits. Only ever decremented via CAS from a positive value,
     /// so it stays in `0..=k` (the type is signed only to make underflow
     /// bugs loud in debug builds rather than wrapping).
@@ -90,7 +90,8 @@ struct Gate {
 const SPIN_ROUNDS: u32 = 6;
 
 impl Gate {
-    fn new(permits: usize) -> Self {
+    /// A gate admitting `permits` concurrent holders.
+    pub(crate) fn new(permits: usize) -> Self {
         assert!(permits >= 1, "gate needs at least one permit");
         Self {
             permits: AtomicI64::new(permits as i64),
@@ -116,7 +117,7 @@ impl Gate {
     }
 
     /// Takes a permit, blocking until one is free.
-    fn enter(&self) {
+    pub(crate) fn enter(&self) {
         // Bounded backoff: brief doubling spins, then yields.
         for round in 0..SPIN_ROUNDS {
             if self.try_enter() {
@@ -150,7 +151,7 @@ impl Gate {
     }
 
     /// Returns a permit, waking one parked waiter if any.
-    fn exit(&self) {
+    pub(crate) fn exit(&self) {
         self.permits.fetch_add(1, Ordering::SeqCst);
         if self.waiters.load(Ordering::SeqCst) > 0 {
             // Taking the mutex before notifying closes the window between
@@ -366,7 +367,7 @@ impl<R: Renaming> RenamingHandle for ArenaClient<'_, R> {
 mod tests {
     use super::*;
     use crate::split::Split;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     #[test]
     fn gate_counts_permits() {
@@ -395,6 +396,33 @@ mod tests {
         g.exit();
         waiter.join().unwrap();
         assert_eq!(g.permits.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn gate_bounds_concurrency() {
+        let gate = std::sync::Arc::new(Gate::new(2));
+        let inside = std::sync::Arc::new(AtomicUsize::new(0));
+        let peak = std::sync::Arc::new(AtomicUsize::new(0));
+        let hs: Vec<_> = (0..6)
+            .map(|_| {
+                let gate = std::sync::Arc::clone(&gate);
+                let inside = std::sync::Arc::clone(&inside);
+                let peak = std::sync::Arc::clone(&peak);
+                std::thread::spawn(move || {
+                    for _ in 0..200 {
+                        gate.enter();
+                        let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        inside.fetch_sub(1, Ordering::SeqCst);
+                        gate.exit();
+                    }
+                })
+            })
+            .collect();
+        for h in hs {
+            h.join().unwrap();
+        }
+        assert!(peak.load(Ordering::SeqCst) <= 2);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Multi-threaded execution harness: drives any [`Renaming`] object from
-//! real threads while a claim-table oracle checks name uniqueness and a
-//! token semaphore enforces the concurrency bound `k`.
+//! real threads while a claim-table oracle checks name uniqueness and the
+//! arena's admission gate enforces the concurrency bound `k`.
 //!
 //! The harness is what the integration tests, the examples and every
 //! benchmark use to generate contention. Two knobs matter:
 //!
 //! * **participants vs. concurrency** — `n` registered pids can be driven
-//!   through a `k`-token gate, exercising the paper's regime of "many
+//!   through a `k`-permit gate, exercising the paper's regime of "many
 //!   processes exist, few are active" (the whole point of renaming);
 //! * **dwell** — how long a name is held, which controls how much
 //!   acquire/release traffic overlaps.
@@ -36,9 +36,10 @@
 //! # fn split_dest(s: &Split) -> u64 { s.dest_size() }
 //! ```
 
+use crate::arena::Gate;
 use crate::traits::{Renaming, RenamingHandle};
 use crate::types::{Name, Pid};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A claim table that detects concurrent double-holding of a name.
 ///
@@ -99,43 +100,6 @@ impl Oracle {
     }
 }
 
-/// A spinning token semaphore bounding how many threads are inside
-/// acquire…release at once — the paper's `k` assumption.
-#[derive(Debug)]
-pub struct Gate {
-    tokens: AtomicUsize,
-}
-
-impl Gate {
-    /// A gate admitting `k` concurrent holders.
-    pub fn new(k: usize) -> Self {
-        Self {
-            tokens: AtomicUsize::new(k),
-        }
-    }
-
-    /// Takes a token (spins until available).
-    pub fn enter(&self) {
-        loop {
-            let t = self.tokens.load(Ordering::SeqCst);
-            if t > 0
-                && self
-                    .tokens
-                    .compare_exchange(t, t - 1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Returns a token.
-    pub fn exit(&self) {
-        self.tokens.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
 /// Workload description for [`stress`].
 #[derive(Clone, Debug)]
 pub struct StressConfig {
@@ -170,7 +134,7 @@ pub struct StressReport {
 }
 
 /// Drives `rn` from one thread per pid, gated to `config.concurrency`
-/// concurrent holders, with the oracle checking every acquisition.
+/// concurrent holders by the arena's admission gate, with the oracle checking every acquisition.
 ///
 /// # Panics
 ///
@@ -271,33 +235,6 @@ mod tests {
         let o = Oracle::new(2);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| o.release_claim(0, 5)));
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn gate_bounds_concurrency() {
-        let gate = std::sync::Arc::new(Gate::new(2));
-        let inside = std::sync::Arc::new(AtomicUsize::new(0));
-        let peak = std::sync::Arc::new(AtomicUsize::new(0));
-        let hs: Vec<_> = (0..6)
-            .map(|_| {
-                let gate = std::sync::Arc::clone(&gate);
-                let inside = std::sync::Arc::clone(&inside);
-                let peak = std::sync::Arc::clone(&peak);
-                std::thread::spawn(move || {
-                    for _ in 0..200 {
-                        gate.enter();
-                        let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
-                        peak.fetch_max(now, Ordering::SeqCst);
-                        inside.fetch_sub(1, Ordering::SeqCst);
-                        gate.exit();
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
-        assert!(peak.load(Ordering::SeqCst) <= 2);
     }
 
     #[test]

@@ -183,24 +183,17 @@ impl CheckError {
 // State keys
 // ---------------------------------------------------------------------------
 
-/// Reusable scratch buffers for canonical state keys.
+/// Reusable scratch buffer for canonical state keys.
 ///
 /// A state key is `registers ++ (done_i, machine_i key, u64::MAX)*` — the
 /// `u64::MAX` separator guards against ambiguous concatenation of
-/// variable-length machine keys. With `symmetry` enabled, the per-machine
-/// blocks are sorted, so states that differ only by a permutation of
-/// machine local states map to one key (see
-/// [`ModelChecker::symmetry_reduction`] for the soundness condition).
+/// variable-length machine keys.
 ///
-/// All buffers are reused across calls: after warm-up, building a key
+/// The buffer is reused across calls: after warm-up, building a key
 /// allocates nothing.
 #[derive(Default)]
 pub(crate) struct KeyBuilder {
     buf: Vec<u64>,
-    /// Machine blocks staging area (symmetry mode only).
-    mbuf: Vec<u64>,
-    /// `(start, end)` block ranges into `mbuf` (symmetry mode only).
-    ranges: Vec<(u32, u32)>,
 }
 
 impl KeyBuilder {
@@ -214,38 +207,17 @@ impl KeyBuilder {
         machines: &[M],
         done: &[bool],
         replace: Option<(usize, &M, bool)>,
-        symmetry: bool,
     ) -> &[u64] {
         self.buf.clear();
         mem.snapshot_append(&mut self.buf);
-        let block = |out: &mut Vec<u64>, j: usize| {
+        for j in 0..machines.len() {
             let (m, d) = match replace {
                 Some((i, m, d)) if i == j => (m, d),
                 _ => (&machines[j], done[j]),
             };
-            out.push(u64::from(d));
-            m.key(out);
-            out.push(u64::MAX);
-        };
-        if !symmetry {
-            for j in 0..machines.len() {
-                block(&mut self.buf, j);
-            }
-        } else {
-            self.mbuf.clear();
-            self.ranges.clear();
-            for j in 0..machines.len() {
-                let start = self.mbuf.len() as u32;
-                block(&mut self.mbuf, j);
-                self.ranges.push((start, self.mbuf.len() as u32));
-            }
-            let (mbuf, ranges) = (&self.mbuf, &mut self.ranges);
-            ranges.sort_unstable_by(|&(a0, a1), &(b0, b1)| {
-                mbuf[a0 as usize..a1 as usize].cmp(&mbuf[b0 as usize..b1 as usize])
-            });
-            for &(s, e) in self.ranges.iter() {
-                self.buf.extend_from_slice(&self.mbuf[s as usize..e as usize]);
-            }
+            self.buf.push(u64::from(d));
+            m.key(&mut self.buf);
+            self.buf.push(u64::MAX);
         }
         &self.buf
     }
@@ -292,7 +264,6 @@ pub struct ModelChecker<M> {
     machines: Vec<M>,
     max_states: usize,
     hashed_dedup: bool,
-    symmetry: bool,
     workers: usize,
     spill: Option<SpillConfig>,
     por: bool,
@@ -308,7 +279,6 @@ impl<M: StepMachine> ModelChecker<M> {
             machines,
             max_states: 20_000_000,
             hashed_dedup: false,
-            symmetry: false,
             workers: 1,
             spill: None,
             por: false,
@@ -331,7 +301,8 @@ impl<M: StepMachine> ModelChecker<M> {
     }
 
     /// Sets the maximum number of distinct states to explore before giving
-    /// up with [`CheckError::StateLimit`] (default: 20 million).
+    /// up with [`CheckError::StateLimit`] (default: 20 million). State ids
+    /// are `u32`, so a larger bound is clamped to `u32::MAX`.
     pub fn max_states(mut self, n: usize) -> Self {
         self.max_states = n;
         self
@@ -350,25 +321,6 @@ impl<M: StepMachine> ModelChecker<M> {
     /// configurations; the CI-sized runs use exact dedup.
     pub fn hashed_dedup(mut self, on: bool) -> Self {
         self.hashed_dedup = on;
-        self
-    }
-
-    /// Quotient the state space by permutations of machine local states.
-    ///
-    /// With this flag on, two states whose shared registers agree and whose
-    /// multiset of machine local states agree are identified, collapsing
-    /// the `ℓ!` orderings of fully symmetric configurations.
-    ///
-    /// **Soundness condition:** this is a sound reduction only when the
-    /// machines are fully interchangeable — identical programs whose
-    /// observable behaviour does not depend on which machine index holds
-    /// which local state, and whose identities (pids) are not recorded in
-    /// shared registers. Most of the renaming protocol specs write pids
-    /// into registers, so this flag must stay **off** for them (the
-    /// default); it is intended for symmetric harness machines and for
-    /// future pid-normalizing specs.
-    pub fn symmetry_reduction(mut self, on: bool) -> Self {
-        self.symmetry = on;
         self
     }
 
@@ -398,10 +350,10 @@ impl<M: StepMachine> ModelChecker<M> {
     ///
     /// Off by default. Composes with every engine ([`check`](Self::check),
     /// [`check_parallel`](Self::check_parallel), and the
-    /// [`spill_dir`](Self::spill_dir) backend). Under reduction the two
-    /// breadth-first backends (in-RAM and spill) visit bit-for-bit the
-    /// same states at every worker count and budget; the DFS applies the
-    /// cycle proviso in its own visit order, so it may settle on a
+    /// [`spill_dir`](Self::spill_dir) backend). Under reduction the
+    /// breadth-first driver visits bit-for-bit the same states over its
+    /// RAM and disk stores at every worker count and budget; the DFS
+    /// applies the cycle proviso in its own visit order, so it may settle on a
     /// different (equally sound) reduced subset — verdicts and terminal
     /// states still agree. `tests/por_equivalence.rs` pins all of this
     /// differentially.
@@ -458,9 +410,9 @@ impl<M: StepMachine> ModelChecker<M> {
     /// Spill the visited set to sorted runs on disk under `dir`, keeping
     /// at most `budget_bytes` of not-yet-flushed state hashes in RAM.
     ///
-    /// This selects the external-memory backend of
-    /// [`check_parallel`](Self::check_parallel) (the `spill` module):
-    /// dedup is by 128-bit state hash (as if
+    /// This runs the breadth-first driver of
+    /// [`check_parallel`](Self::check_parallel) over its disk stores (the
+    /// `spill` module): dedup is by 128-bit state hash (as if
     /// [`hashed_dedup`](Self::hashed_dedup) were set), recently
     /// discovered hashes stay in an in-RAM delta, and whenever the delta
     /// exceeds the budget it is flushed as one sorted run per shard.
@@ -566,19 +518,17 @@ impl<M: StepMachine> ModelChecker<M> {
         &self.machines
     }
 
-    /// The configured state budget.
+    /// The configured state budget, clamped to `u32::MAX`: state ids are
+    /// `u32` and `u32::MAX` is the root's parent sentinel, so every id
+    /// handed out stays below it and a run that would need more ends in
+    /// [`CheckError::StateLimit`].
     pub(crate) fn state_limit(&self) -> usize {
-        self.max_states
+        self.max_states.min(u32::MAX as usize)
     }
 
     /// Whether hashed dedup is enabled.
     pub(crate) fn hashed(&self) -> bool {
         self.hashed_dedup
-    }
-
-    /// Whether symmetry reduction is enabled.
-    pub(crate) fn symmetry(&self) -> bool {
-        self.symmetry
     }
 
     /// The spill configuration, if the external-memory backend is on.
@@ -630,7 +580,7 @@ impl<M: StepMachine> ModelChecker<M> {
 
         let done0 = vec![false; self.machines.len()];
         {
-            let key0 = kb.build(&mem, &self.machines, &done0, None, self.symmetry);
+            let key0 = kb.build(&mem, &self.machines, &done0, None);
             if self.hashed_dedup {
                 visited_hash.insert(hash128(key0));
             } else {
@@ -723,19 +673,25 @@ impl<M: StepMachine> ModelChecker<M> {
 
             mem.restore(&top.mem);
             // The machine slot acted on and the schedule-entry encoding.
-            let (slot, via) = if i < n { (i, i) } else { (i - n, i - n + CRASH_SCHEDULE_BASE) };
+            let (slot, via) = if i < n {
+                (i, i)
+            } else {
+                (i - n, i - n + CRASH_SCHEDULE_BASE)
+            };
             let mut mi = top.machines[slot].clone();
             let done_i = if i < n {
                 mi.step(&mem).is_done()
             } else {
-                let loc = self.faults_loc.expect("crash cursor range requires a fault budget");
+                let loc = self
+                    .faults_loc
+                    .expect("crash cursor range requires a fault budget");
                 mem.write(loc, budget - 1);
                 mi.crash_restart().is_done()
             };
             stats.transitions += 1;
 
-            let key =
-                kb.build(&mem, &top.machines, &top.done, Some((slot, &mi, done_i)), self.symmetry);
+            let replace = Some((slot, &mi, done_i));
+            let key = kb.build(&mem, &top.machines, &top.done, replace);
             let fresh = if self.hashed_dedup {
                 visited_hash.insert(hash128(key))
             } else if visited_exact.contains(key) {
@@ -788,9 +744,9 @@ impl<M: StepMachine> ModelChecker<M> {
             if terminal {
                 stats.terminal_states += 1;
             }
-            if stats.states as usize > self.max_states {
+            if stats.states as usize > self.state_limit() {
                 return Err(CheckError::StateLimit {
-                    limit: self.max_states,
+                    limit: self.state_limit(),
                     stats,
                 });
             }
@@ -801,8 +757,11 @@ impl<M: StepMachine> ModelChecker<M> {
                 done: &frame.done,
             };
             if let Err(message) = invariant(&world) {
-                let mut schedule: Vec<usize> =
-                    stack.iter().map(|f| f.via).filter(|&v| v != usize::MAX).collect();
+                let mut schedule: Vec<usize> = stack
+                    .iter()
+                    .map(|f| f.via)
+                    .filter(|&v| v != usize::MAX)
+                    .collect();
                 schedule.push(via);
                 let trace = self.render_trace(&schedule);
                 return Err(CheckError::Violation(Box::new(Violation {
@@ -888,9 +847,7 @@ impl<M: StepMachine> ModelChecker<M> {
                 .zip(&after)
                 .enumerate()
                 .filter(|(_, (b, a))| b != a)
-                .map(|(r, (_, a))| {
-                    format!("{}←{}", self.layout.name_of(llr_mem::Loc(r as u32)), a)
-                })
+                .map(|(r, (_, a))| format!("{}←{}", self.layout.name_of(llr_mem::Loc(r as u32)), a))
                 .collect();
             let _ = writeln!(
                 out,
@@ -931,15 +888,13 @@ impl<M: StepMachine> ModelChecker<M> {
     {
         let mut stats = CheckStats::default();
         for w in 0..walks {
-            let mut rng =
-                SplitMix64::new(seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut rng = SplitMix64::new(seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let mem = SimMemory::new(&self.layout);
             let mut machines = self.machines.clone();
             let mut done = vec![false; machines.len()];
             let mut schedule = Vec::new();
             for _ in 0..max_steps {
-                let running: Vec<usize> =
-                    (0..machines.len()).filter(|&i| !done[i]).collect();
+                let running: Vec<usize> = (0..machines.len()).filter(|&i| !done[i]).collect();
                 if running.is_empty() {
                     stats.terminal_states += 1;
                     break;

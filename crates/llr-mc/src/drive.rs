@@ -1,9 +1,10 @@
 //! Engine selection: one value that names an exploration backend, and one
 //! entry point that routes a configured [`ModelChecker`] to it.
 //!
-//! The three backends (sequential DFS, layer-synchronous parallel BFS,
-//! external-memory BFS) visit exactly the same states and report identical
-//! counts and violations — which one to use is purely a resource question.
+//! The three backends (sequential DFS, and the layer-synchronous BFS
+//! driver over its RAM or its disk stores) visit exactly the same states
+//! and report identical counts and violations — which one to use is
+//! purely a resource question.
 //! Callers that want to make that choice data-driven (experiment tables,
 //! the generic session drivers in `llr-core`) pass an [`Engine`] instead of
 //! hard-coding a method chain.

@@ -384,6 +384,8 @@ pub(crate) struct MachinePool<M> {
     index: Vec<HashMap<Box<[u64]>, u32>>,
     items: Vec<Vec<M>>,
     bytes: u64,
+    /// Scratch buffer for machine keys.
+    keybuf: Vec<u64>,
 }
 
 impl<M: StepMachine> MachinePool<M> {
@@ -392,23 +394,29 @@ impl<M: StepMachine> MachinePool<M> {
             index: (0..slots).map(|_| HashMap::new()).collect(),
             items: (0..slots).map(|_| Vec::new()).collect(),
             bytes: 0,
+            keybuf: Vec::new(),
         }
     }
 
-    /// Interns `m` into `slot`, returning its stable id.
-    pub(crate) fn intern(&mut self, slot: usize, m: &M, keybuf: &mut Vec<u64>) -> u32 {
-        keybuf.clear();
-        m.key(keybuf);
-        if let Some(&id) = self.index[slot].get(keybuf.as_slice()) {
-            return id;
+    /// Interns every machine of `machines` into its slot, returning their
+    /// stable ids.
+    pub(crate) fn intern(&mut self, machines: &[M]) -> Vec<u32> {
+        let mut ids = Vec::with_capacity(machines.len());
+        for (slot, m) in machines.iter().enumerate() {
+            self.keybuf.clear();
+            m.key(&mut self.keybuf);
+            if let Some(&id) = self.index[slot].get(self.keybuf.as_slice()) {
+                ids.push(id);
+                continue;
+            }
+            let id = u32::try_from(self.items[slot].len()).expect("machine pool exceeds u32 ids");
+            self.bytes += (self.keybuf.len() * 8 + std::mem::size_of::<M>()) as u64
+                + POOL_OVERHEAD_BYTES;
+            self.index[slot].insert(self.keybuf.as_slice().into(), id);
+            self.items[slot].push(m.clone());
+            ids.push(id);
         }
-        let id = u32::try_from(self.items[slot].len()).expect("machine pool exceeds u32 ids");
-        self.bytes += (keybuf.len() * 8) as u64
-            + std::mem::size_of::<M>() as u64
-            + POOL_OVERHEAD_BYTES;
-        self.index[slot].insert(keybuf.as_slice().into(), id);
-        self.items[slot].push(m.clone());
-        id
+        ids
     }
 
     /// A clone of the machine interned under `id` in `slot`.

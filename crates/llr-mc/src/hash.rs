@@ -2,12 +2,12 @@
 //! by it.
 //!
 //! [`hash128`] is computed once per transition. Every map or set keyed by
-//! its result — the engine's frozen and pending shards, the spill
-//! backend's delta and pending shards, the DFS visited set — then uses
+//! its result — the engine's frozen and pending shards, the disk visited
+//! set's delta, the DFS visited set — then uses
 //! [`PreHashed`], which hands the already-mixed bits to the table instead
 //! of hashing them a second time.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// The SplitMix64 finalizer: full avalanche in two multiplies.
@@ -114,8 +114,6 @@ impl Hash for PackedHash {
 /// The [`BuildHasher`](std::hash::BuildHasher) of every map keyed by a
 /// state hash.
 pub(crate) type BuildPreHashed = BuildHasherDefault<PreHashed>;
-/// A map keyed by state hash.
-pub(crate) type HashMap128<V> = HashMap<u128, V, BuildPreHashed>;
 /// A set of state hashes.
 pub(crate) type HashSet128 = HashSet<u128, BuildPreHashed>;
 

@@ -74,14 +74,19 @@
 //!
 //! # Engines
 //!
-//! Three interchangeable exploration backends, all visiting the same
-//! states and reporting identical counts and violations:
+//! Two engines, one of them over two pairs of stores — all visiting the
+//! same states and reporting identical counts and violations:
 //!
-//! | backend | selected by | visited set | frontier |
+//! | engine | selected by | visited set | layers |
 //! |---|---|---|---|
 //! | sequential DFS | [`ModelChecker::check`] | in RAM, exact or hashed keys | explicit stack |
-//! | parallel BFS | [`ModelChecker::check_parallel`] | in RAM, sharded | in RAM |
-//! | external-memory BFS | `check_parallel` + [`ModelChecker::spill_dir`] | bounded in-RAM delta + sorted runs on disk | per-layer files on disk ([`frontier`]) |
+//! | BFS driver, RAM stores | [`ModelChecker::check_parallel`] | in RAM, sharded | in RAM |
+//! | BFS driver, disk stores | `check_parallel` + [`ModelChecker::spill_dir`] | bounded in-RAM delta + sorted runs on disk | per-layer files on disk ([`frontier`]) |
+//!
+//! The breadth-first layer loop exists once; the checker takes the disk
+//! stores iff `spill_dir` is set and no edges are recorded, so
+//! [`ModelChecker::check_always_terminable`] keeps its RAM visited ids
+//! and streams only its edge list to disk.
 
 #![warn(missing_docs)]
 

@@ -13,8 +13,9 @@
 //! For blocking substrates like the Peterson–Fischer block, it is
 //! exactly deadlock-freedom.
 //!
-//! The graph is built by the same parallel frontier engine as
-//! [`ModelChecker::check_parallel`] (with edge recording on), so the
+//! The graph is built by the same breadth-first driver as
+//! [`ModelChecker::check_parallel`] (with edge recording on, always over
+//! the RAM visited set, which hands out the ids edges refer to), so the
 //! forward pass scales over [`ModelChecker::workers`] threads. The
 //! backward marking runs layer-parallel over the same worker count: the
 //! reversed edges are packed into a CSR adjacency (one offset array, one
@@ -68,6 +69,13 @@ impl std::fmt::Display for LivenessStats {
     }
 }
 
+/// The reversed-edge CSR the backward marking walks: `off[s]..off[s + 1]`
+/// is state `s`'s predecessor run, in RAM or in a file when spilling.
+enum Csr {
+    Ram { off: Vec<u32>, preds: Vec<u32> },
+    Disk(crate::frontier::DiskCsr),
+}
+
 impl<M: StepMachine + Send + Sync> ModelChecker<M> {
     /// Explores the full reachable state graph and verifies that a
     /// terminal state (every machine done) is reachable **from every
@@ -85,11 +93,6 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
     ///   region (a reachable state from which no continuation terminates);
     /// * [`CheckError::StateLimit`] if the graph exceeds the configured
     ///   state budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the state graph exceeds `u32::MAX` states (far beyond
-    /// the configured limits).
     ///
     /// # Example
     ///
@@ -151,7 +154,7 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
         let mut spilled = explored.stats.spilled_bytes;
         let mut width_peak: u64 = frontier.len() as u64;
 
-        match &explored.edges {
+        let csr = match &explored.edges {
             EdgeStore::Ram(edge_list) => {
                 let mut off: Vec<u32> = vec![0; n + 1];
                 for &(_, to) in edge_list {
@@ -169,106 +172,70 @@ impl<M: StepMachine + Send + Sync> ModelChecker<M> {
                 }
                 // CSR build holds offsets, cursors, the predecessor
                 // array and the still-live edge list at once.
-                peak = peak.max(
-                    8 * (n as u64 + 1) + 12 * edge_list.len() as u64 + n as u64,
-                );
-
-                while !frontier.is_empty() {
-                    width_peak = width_peak.max(frontier.len() as u64);
-                    let nw = workers.clamp(1, frontier.len());
-                    let chunk = frontier.len().div_ceil(nw);
-                    let frontier_ref = &frontier;
-                    let can_finish_ref = &can_finish;
-                    let off_ref = &off;
-                    let preds_ref = &preds;
-                    frontier = std::thread::scope(|s| {
-                        let handles: Vec<_> = (0..nw)
-                            .map(|w| {
-                                s.spawn(move || {
-                                    let lo = (w * chunk).min(frontier_ref.len());
-                                    let hi = (lo + chunk).min(frontier_ref.len());
-                                    let mut next = Vec::new();
-                                    for &st in &frontier_ref[lo..hi] {
-                                        let (a, b) =
-                                            (off_ref[st as usize], off_ref[st as usize + 1]);
-                                        for &p in &preds_ref[a as usize..b as usize] {
-                                            if !can_finish_ref[p as usize]
-                                                .swap(true, Ordering::Relaxed)
-                                            {
-                                                next.push(p);
-                                            }
-                                        }
-                                    }
-                                    next
-                                })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .flat_map(|h| h.join().expect("a liveness worker panicked"))
-                            .collect()
-                    });
-                }
+                peak = peak.max(8 * (n as u64 + 1) + 12 * edge_list.len() as u64 + n as u64);
+                Csr::Ram { off, preds }
             }
             EdgeStore::Disk { guard, path, count } => {
-                let budget = self
-                    .spill_config()
-                    .map_or(0, |c| c.budget_bytes);
+                let budget = self.spill_config().map_or(0, |c| c.budget_bytes);
                 let window = (budget / 4).max(64 * 1024);
-                let csr = crate::frontier::DiskCsr::build(
-                    path,
-                    *count,
-                    n,
-                    window,
-                    guard.path().join("preds.csr"),
-                )?;
+                let out = guard.path().join("preds.csr");
+                let csr = crate::frontier::DiskCsr::build(path, *count, n, window, out)?;
                 spilled += *count * 4;
                 peak = peak.max(8 * (n as u64 + 1) + csr.build_window_bytes + n as u64);
+                Csr::Disk(csr)
+            }
+        };
 
-                let csr_ref = &csr;
-                let can_finish_ref = &can_finish;
-                while !frontier.is_empty() {
-                    width_peak = width_peak.max(frontier.len() as u64);
-                    let nw = workers.clamp(1, frontier.len());
-                    let chunk = frontier.len().div_ceil(nw);
-                    let frontier_ref = &frontier;
-                    let joined: std::io::Result<Vec<u32>> = std::thread::scope(|s| {
-                        let handles: Vec<_> = (0..nw)
-                            .map(|w| {
-                                s.spawn(move || -> std::io::Result<Vec<u32>> {
-                                    let lo = (w * chunk).min(frontier_ref.len());
-                                    let hi = (lo + chunk).min(frontier_ref.len());
-                                    let mut next = Vec::new();
+        let csr_ref = &csr;
+        let can_finish_ref = &can_finish;
+        while !frontier.is_empty() {
+            width_peak = width_peak.max(frontier.len() as u64);
+            let nw = workers.clamp(1, frontier.len());
+            let chunk = frontier.len().div_ceil(nw);
+            let frontier_ref = &frontier;
+            let joined: std::io::Result<Vec<u32>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..nw)
+                    .map(|w| {
+                        s.spawn(move || -> std::io::Result<Vec<u32>> {
+                            let lo = (w * chunk).min(frontier_ref.len());
+                            let hi = (lo + chunk).min(frontier_ref.len());
+                            let mut next = Vec::new();
+                            let mut claim = |p: u32| {
+                                if !can_finish_ref[p as usize].swap(true, Ordering::Relaxed) {
+                                    next.push(p);
+                                }
+                            };
+                            match csr_ref {
+                                Csr::Ram { off, preds } => {
+                                    for &st in &frontier_ref[lo..hi] {
+                                        let (a, b) = (off[st as usize], off[st as usize + 1]);
+                                        for &p in &preds[a as usize..b as usize] {
+                                            claim(p);
+                                        }
+                                    }
+                                }
+                                Csr::Disk(csr) => {
                                     // One independent file handle per
                                     // worker; runs are read in bounded
                                     // sub-chunks.
-                                    let mut r = csr_ref.reader()?;
+                                    let mut r = csr.reader()?;
                                     for &st in &frontier_ref[lo..hi] {
-                                        r.for_each(
-                                            csr_ref.off[st as usize],
-                                            csr_ref.off[st as usize + 1],
-                                            |p| {
-                                                if !can_finish_ref[p as usize]
-                                                    .swap(true, Ordering::Relaxed)
-                                                {
-                                                    next.push(p);
-                                                }
-                                            },
-                                        )?;
+                                        let st = st as usize;
+                                        r.for_each(csr.off[st], csr.off[st + 1], &mut claim)?;
                                     }
-                                    Ok(next)
-                                })
-                            })
-                            .collect();
-                        let mut all = Vec::new();
-                        for h in handles {
-                            all.extend(h.join().expect("a liveness worker panicked")?);
-                        }
-                        Ok(all)
-                    });
-                    frontier = joined?;
+                                }
+                            }
+                            Ok(next)
+                        })
+                    })
+                    .collect();
+                let mut all = Vec::new();
+                for h in handles {
+                    all.extend(h.join().expect("a liveness worker panicked")?);
                 }
-            }
+                Ok(all)
+            });
+            frontier = joined?;
         }
         // The marking frontiers themselves (current + next, 4 bytes per
         // entry, bounded by the widest marked layer).
@@ -377,8 +344,16 @@ mod tests {
         let mc = ModelChecker::new(
             layout,
             vec![
-                DeadlockProne { first: a, second: b, pc: 0 },
-                DeadlockProne { first: b, second: a, pc: 0 },
+                DeadlockProne {
+                    first: a,
+                    second: b,
+                    pc: 0,
+                },
+                DeadlockProne {
+                    first: b,
+                    second: a,
+                    pc: 0,
+                },
             ],
         );
         let err = mc.check_always_terminable().unwrap_err();

@@ -1,17 +1,19 @@
-//! External-memory exploration: a spill-to-disk visited set **and** a
-//! spill-to-disk frontier.
+//! The disk stores of the breadth-first driver: a spill-to-disk visited
+//! set ([`SpillSet`]) **and** a spill-to-disk layer store
+//! ([`DiskLayers`]).
 //!
-//! The in-RAM frontier engine ([`crate::engine`]) holds every visited
-//! state hash in a sharded map and every frontier state fully
+//! Over the RAM stores of [`crate::engine`], the driver holds every
+//! visited state key in a sharded map and every frontier state fully
 //! materialized, so its ceiling is the host's memory — first through the
 //! visited set (grows with *total* states), then through the frontier
-//! (grows with the *widest layer*). This backend lifts both ceilings
-//! while preserving the engine's exact counts and deterministic
-//! violation schedules bit-for-bit:
+//! (grows with the *widest layer*). These stores lift both ceilings
+//! without changing the driver's counts or violation schedules:
 //!
-//! * Dedup is by 128-bit state hash (the same [`hash128`] as
-//!   [`ModelChecker::hashed_dedup`]); hashes are partitioned into the
-//!   engine's 64 shards by their top bits.
+//! * Dedup is by 128-bit state hash (the same
+//!   [`hash128`](crate::hash::hash128) as
+//!   [`ModelChecker::hashed_dedup`](crate::ModelChecker::hashed_dedup));
+//!   hashes are partitioned into the engine's 64 shards by their top
+//!   bits.
 //! * Recently discovered hashes live in an **in-RAM delta** (one
 //!   `HashSet` per shard). Workers consult only this delta during layer
 //!   expansion — never the disk — so the concurrent phase stays
@@ -23,8 +25,10 @@
 //! * A state rediscovered after its hash was flushed is caught one layer
 //!   later: each layer's candidate states (the pending set, minus the
 //!   delta) are sorted per shard and **merge-joined against every run**
-//!   in one sequential pass per run file; candidates found on disk are
-//!   dropped before ids are assigned.
+//!   in one sequential pass per run file ([`Visited::probe_old`]);
+//!   candidates found on disk are dropped before ids are assigned, and a
+//!   POR-reduced state whose ample successor was among them gets the
+//!   driver's join-time proviso patch-up.
 //! * The **frontier lives in per-layer files** ([`crate::frontier`]):
 //!   each layer is an append-only file of fixed-size records (state id,
 //!   per-slot done flags and machine intern ids, register-file
@@ -32,11 +36,11 @@
 //!   so writes are streaming. Expansion reads the layer back as a
 //!   bounded-buffer sequential scan: one chunk of at most a
 //!   quarter-budget's worth of materialized states at a time, expanded
-//!   by [`expand_layer`] against the **layer-persistent** pending set
-//!   (chunk workers get globally unique ids via `worker_base`).
-//!   Successors are streamed to a per-layer *candidate* file the same
-//!   way and re-read by ordinal at the join. Machine structs are
-//!   interned per slot, so records store a `u32` per machine.
+//!   against the **layer-persistent** pending set (chunk workers get
+//!   layer-unique ids). Successors are streamed to a per-layer
+//!   *candidate* file the same way and re-read by ordinal at the join.
+//!   Machine structs are interned per slot, so records store a `u32` per
+//!   machine.
 //! * The spanning-tree parents go to an append-only **parent log** (5
 //!   bytes per state); violation schedules are reconstructed by walking
 //!   the log backwards with point reads.
@@ -45,7 +49,7 @@
 //! only *which worker* first materializes a state (the min-merged
 //! `(parent, via)` edge and the drain order do not change), the
 //! surviving states, their id order, the invariant-check order and hence
-//! the first reported violation are identical to the in-RAM engines at
+//! the first reported violation are identical to the RAM stores at
 //! every worker count and every budget — `tests/engine_equivalence.rs`
 //! pins this, including with a zero budget that forces runs out
 //! mid-layer and single-state expansion chunks.
@@ -58,8 +62,8 @@
 //! set (≈48 bytes per candidate — one to two orders of magnitude below
 //! the retired per-state frontier payload) and the per-slot machine
 //! intern pool (grows with slot-local machine diversity, not states).
-//! [`CheckStats::peak_resident_bytes`] reports the deterministic
-//! per-layer peak over all of it.
+//! [`CheckStats::peak_resident_bytes`](crate::CheckStats::peak_resident_bytes)
+//! reports the deterministic per-layer peak over all of it.
 //!
 //! ```text
 //!        layer file N ──sequential chunk reads──► expansion workers
@@ -82,19 +86,17 @@
 //!                                                    append layer file N+1
 //! ```
 
-use crate::checker::{CheckError, CheckStats, KeyBuilder, ModelChecker, Violation, World};
 use crate::engine::{
-    expand_layer, frontier_state_bytes, shard_of, EdgeStore, Explored, FrontierState, KeyMap,
-    Pend, PEND_OVERHEAD_BYTES, SHARDS,
+    frontier_state_bytes, shard_of, FrontierState, LayerStore, Pend, Visited,
+    PEND_OVERHEAD_BYTES, SHARDS,
 };
-use crate::frontier::{LayerReader, LayerRecord, LayerWriter, MachinePool, ParentLog, ScratchDir};
-use crate::hash::{hash128, HashMap128, HashSet128, PackedHash};
+use crate::frontier::{LayerReader, LayerRecord, LayerWriter, MachinePool, ParentLog};
+use crate::hash::{HashSet128, PackedHash};
 use crate::StepMachine;
-use llr_mem::{Memory as _, SimMemory};
+use std::borrow::Borrow;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 /// Bytes per stored state hash.
 const HASH_BYTES: usize = 16;
@@ -116,12 +118,13 @@ const MAX_RUNS_PER_SHARD: usize = 8;
 /// Buffered-reader capacity for streaming run files.
 const RUN_READ_BUF: usize = 1 << 20;
 
-/// Configuration carried by [`ModelChecker::spill_dir`].
+/// Configuration carried by [`ModelChecker::spill_dir`](crate::ModelChecker::spill_dir).
 pub(crate) struct SpillConfig {
     /// Parent directory for the per-run spill subdirectory.
     pub dir: PathBuf,
     /// Total resident budget in bytes (delta + frontier window + CSR
-    /// window share it; see [`ModelChecker::spill_dir`]).
+    /// window share it; see
+    /// [`ModelChecker::spill_dir`](crate::ModelChecker::spill_dir)).
     pub budget_bytes: usize,
 }
 
@@ -156,8 +159,9 @@ impl RunReader {
 
 /// The sharded external visited set: an in-RAM delta plus sorted runs on
 /// disk. See the module docs for the discipline. Files live inside the
-/// caller's [`ScratchDir`]; the guard owns cleanup.
-struct SpillSet {
+/// caller's [`ScratchDir`](crate::frontier::ScratchDir); the guard owns
+/// cleanup.
+pub(crate) struct SpillSet {
     /// Directory owning every run file (the exploration's scratch dir).
     dir: PathBuf,
     /// Effective flush threshold.
@@ -177,10 +181,12 @@ struct SpillSet {
 }
 
 impl SpillSet {
-    fn create_in(dir: &Path, threshold: usize) -> Self {
+    /// A set whose run files go to `dir`, flushing its delta at half of
+    /// `budget_bytes` (floored at [`MIN_FLUSH_BYTES`]).
+    pub(crate) fn create_in(dir: &Path, budget_bytes: usize) -> Self {
         Self {
             dir: dir.to_path_buf(),
-            threshold,
+            threshold: (budget_bytes / 2).max(MIN_FLUSH_BYTES),
             recent: (0..SHARDS).map(|_| HashSet128::default()).collect(),
             recent_bytes: 0,
             peak_recent_bytes: 0,
@@ -317,392 +323,215 @@ impl SpillSet {
     }
 }
 
-/// Breadth-first exploration with the external-memory visited set and
-/// the on-disk frontier.
-///
-/// Mirrors [`crate::engine::explore`] exactly — same worker expansion
-/// ([`expand_layer`]), same `(parent, via)` drain order, same invariant
-/// check order — but keeps only a budget-bounded delta of the visited
-/// set in RAM, streams each layer (and each layer's candidate
-/// successors) through files instead of holding them materialized, and
-/// merge-joins each layer's candidates against the on-disk runs. The
-/// difference is *when* a rediscovered state is recognized (one layer
-/// later, at the join), never *whether*: states, transitions, terminal
-/// counts and violation schedules are bit-for-bit those of the in-RAM
-/// engines.
-///
-/// Edge recording is not supported here (the liveness checker runs the
-/// in-RAM-visited engine with a disk edge log instead); callers reach
-/// this path only via [`ModelChecker::check_parallel`] with
-/// [`ModelChecker::spill_dir`] configured. The returned [`Explored`]
-/// carries stats only — parents live on disk and are dropped with the
-/// scratch directory.
-pub(crate) fn explore_spilled<M, F>(
-    mc: &ModelChecker<M>,
-    invariant: &F,
-    workers: usize,
-) -> Result<Explored, CheckError>
-where
-    M: StepMachine + Send + Sync,
-    F: Fn(&World<'_, M>) -> Result<(), String>,
-{
-    let cfg = mc.spill_config().expect("spill backend selected without a config");
-    let scratch = ScratchDir::create(&cfg.dir)?;
-    let mut spill = SpillSet::create_in(
-        scratch.path(),
-        (cfg.budget_bytes / 2).max(MIN_FLUSH_BYTES),
-    );
-    let symmetry = mc.symmetry();
-    let layout = mc.initial_layout();
-    let mem = SimMemory::new(&layout);
-    let machines0 = mc.initial_machines().to_vec();
-    assert!(
-        machines0.len() < u8::MAX as usize,
-        "the frontier engine supports at most 254 machines"
-    );
-    assert!(
-        mc.crash_loc().is_none() || machines0.len() <= crate::checker::CRASH_SCHEDULE_BASE,
-        "with a fault budget the frontier engine supports at most 128 machines \
-         (crash transitions are encoded as machine + CRASH_SCHEDULE_BASE)"
-    );
-    let nm = machines0.len();
-    let words = mem.len();
-    let per_state = frontier_state_bytes::<M>(words, nm);
-    // A chunk of `n` frontier states can materialize at most `n × slots`
-    // fresh successors before they are streamed out, so the quarter
-    // budget is divided by the worst-case amplification. Never below one
-    // state per chunk.
-    let chunk_states = ((cfg.budget_bytes / 4).max(MIN_CHUNK_BYTES) as u64
-        / (per_state * (1 + nm as u64)))
-        .max(1);
-    let done0 = vec![false; nm];
+impl Visited<PackedHash> for SpillSet {
+    const COMPLETE: bool = false;
+    const PEND_BYTES: u64 = PEND_OVERHEAD_BYTES + HASH_BYTES as u64;
 
-    let mut stats = CheckStats::default();
-    let mut pool: MachinePool<M> = MachinePool::new(nm);
-    let mut keybuf: Vec<u64> = Vec::new();
-    let mut parents = ParentLog::create(scratch.path().join("parents.log"))?;
-    parents.push(u32::MAX, 0)?;
-    // Bytes retired to frontier/parent files (for `spilled_bytes`).
-    let mut frontier_disk_bytes: u64 = 0;
-
-    {
-        let mut kb = KeyBuilder::default();
-        let key0 = kb.build(&mem, &machines0, &done0, None, symmetry);
-        spill.insert_fresh(hash128(key0))?;
-    }
-    stats.states = 1;
-    if done0.iter().all(|&d| d) {
-        stats.terminal_states = 1;
-    }
-    {
-        let world = World {
-            mem: &mem,
-            machines: &machines0,
-            done: &done0,
-        };
-        if let Err(message) = invariant(&world) {
-            return Err(CheckError::Violation(Box::new(Violation {
-                message,
-                schedule: vec![],
-                trace: "(violated in the initial state)".into(),
-                stats,
-            })));
-        }
+    /// Workers filter against the in-RAM delta only (no I/O in the
+    /// concurrent phase); flushed hashes are caught by the join. The
+    /// returned id is a placeholder — edges are never recorded over this
+    /// store.
+    fn find(&self, _key: &[u64], h: u128) -> Option<u32> {
+        self.contains_recent(h).then_some(0)
     }
 
-    // Layer 0: the initial state, straight to disk.
-    let mut layer_path = scratch.path().join("layer-0.flr");
-    let mut layer_len: u64 = {
-        let mut w = LayerWriter::create(&layer_path, words, nm)?;
-        let ids: Vec<u32> = machines0
-            .iter()
-            .enumerate()
-            .map(|(slot, m)| pool.intern(slot, m, &mut keybuf))
-            .collect();
-        w.push(0, &done0, &ids, &mem.snapshot())?;
-        frontier_disk_bytes += w.bytes();
-        w.finish()?
-    };
-    let check_mem = SimMemory::new(&layout);
-    let mut layer_idx: u64 = 0;
-    let por = mc.por_on();
+    fn probe_old(&self, candidates: impl Iterator<Item = u128>) -> io::Result<HashSet128> {
+        SpillSet::probe_old(self, candidates)
+    }
 
-    let materialize = |rec: &LayerRecord, pool: &MachinePool<M>| -> FrontierState<M> {
-        FrontierState {
-            snap: rec.snap.clone(),
-            machines: rec
-                .machine_ids
-                .iter()
-                .enumerate()
-                .map(|(slot, &mid)| pool.get(slot, mid))
-                .collect(),
-            done: rec.done.clone(),
-            id: rec.id,
+    fn insert(&mut self, _key: PackedHash, h: u128, _id: u32) -> io::Result<()> {
+        self.insert_fresh(h)
+    }
+
+    /// The largest delta ever held.
+    fn resident_bytes(&self) -> u64 {
+        self.peak_recent_bytes
+    }
+
+    fn spilled_bytes(&self) -> u64 {
+        self.spilled_bytes
+    }
+}
+
+/// A candidate successor read back from disk, with the intern ids its
+/// record carries so the next layer reuses them.
+pub(crate) struct Candidate<M> {
+    st: FrontierState<M>,
+    ids: Vec<u32>,
+}
+
+impl<M> Borrow<FrontierState<M>> for Candidate<M> {
+    fn borrow(&self) -> &FrontierState<M> {
+        &self.st
+    }
+}
+
+/// The disk layer store: the frontier, each layer's candidate successors
+/// and the next layer as files of fixed-size records, machines interned
+/// per slot, parents in an append-only log. See the module docs.
+pub(crate) struct DiskLayers<M> {
+    dir: PathBuf,
+    words: usize,
+    slots: usize,
+    /// Frontier states per expansion chunk.
+    chunk_states: usize,
+    pool: MachinePool<M>,
+    parents: ParentLog,
+    /// Index of the layer `next` writes; the frontier is the one before.
+    layer: u64,
+    next: LayerWriter,
+    /// The frontier, open for chunk and point reads (`None` before the
+    /// first [`advance`](LayerStore::advance)).
+    frontier: Option<LayerReader>,
+    /// This layer's candidates: written during expansion, then read back
+    /// by ordinal during id assignment.
+    cand_w: Option<LayerWriter>,
+    cand_r: Option<LayerReader>,
+    /// Record ordinal of each worker's first candidate.
+    cand_base: Vec<u64>,
+    /// Bytes of finished layer and candidate files.
+    file_bytes: u64,
+}
+
+impl<M: StepMachine> DiskLayers<M> {
+    /// A store in `dir` for `slots` machines over `words` registers. A
+    /// chunk of `n` frontier states can materialize at most `n × slots`
+    /// fresh successors before they are streamed out, so the quarter
+    /// budget is divided by the worst-case amplification; never below one
+    /// state per chunk.
+    pub(crate) fn create(
+        dir: &Path,
+        budget_bytes: usize,
+        words: usize,
+        slots: usize,
+    ) -> io::Result<Self> {
+        let per_state = frontier_state_bytes::<M>(words, slots);
+        let chunk_states = ((budget_bytes / 4).max(MIN_CHUNK_BYTES) as u64
+            / (per_state * (1 + slots as u64)))
+            .max(1);
+        Ok(Self {
+            dir: dir.to_path_buf(),
+            words,
+            slots,
+            chunk_states: chunk_states as usize,
+            pool: MachinePool::new(slots),
+            parents: ParentLog::create(dir.join("parents.log"))?,
+            layer: 0,
+            next: LayerWriter::create(&dir.join("layer-0.flr"), words, slots)?,
+            frontier: None,
+            cand_w: None,
+            cand_r: None,
+            cand_base: Vec::new(),
+            file_bytes: 0,
+        })
+    }
+
+    fn path(&self, kind: &str, layer: u64) -> PathBuf {
+        self.dir.join(format!("{kind}-{layer}.flr"))
+    }
+
+    fn frontier(&mut self) -> &mut LayerReader {
+        self.frontier.as_mut().expect("a frontier layer is open")
+    }
+
+    fn materialize(&self, rec: LayerRecord) -> (FrontierState<M>, Vec<u32>) {
+        let ids = rec.machine_ids.iter().enumerate();
+        let machines = ids.map(|(slot, &id)| self.pool.get(slot, id)).collect();
+        let st = FrontierState { snap: rec.snap, machines, done: rec.done, id: rec.id };
+        (st, rec.machine_ids)
+    }
+}
+
+impl<M: StepMachine> LayerStore<M> for DiskLayers<M> {
+    type Fresh = Candidate<M>;
+
+    fn push_root(&mut self, st: FrontierState<M>) -> io::Result<()> {
+        self.parents.push(u32::MAX, 0)?;
+        let ids = self.pool.intern(&st.machines);
+        self.next.push(st.id, &st.done, &ids, &st.snap)
+    }
+
+    fn advance(&mut self) -> io::Result<u64> {
+        let next_path = self.path("layer", self.layer + 1);
+        let next = LayerWriter::create(&next_path, self.words, self.slots)?;
+        let written = std::mem::replace(&mut self.next, next);
+        self.file_bytes += written.bytes();
+        let len = written.finish()?;
+        if let Some(w) = self.cand_w.take() {
+            self.file_bytes += w.bytes();
+            w.finish()?;
         }
-    };
-
-    while layer_len > 0 {
-        let pending: Vec<Mutex<KeyMap<PackedHash, Pend>>> =
-            (0..SHARDS).map(|_| Mutex::new(KeyMap::default())).collect();
-        let mut reader = LayerReader::open(&layer_path)?;
-        // Successors materialized this layer, streamed out chunk by
-        // chunk; `fresh_base[worker] + idx` is a record ordinal here.
-        let fresh_path = scratch.path().join(format!("cand-{layer_idx}.flr"));
-        let mut fresh_w = LayerWriter::create(&fresh_path, words, nm)?;
-        let mut fresh_base: Vec<u64> = Vec::new();
-        let mut worker_base: u32 = 0;
-        // POR-reduced states, with layer-global frontier ordinals.
-        let mut reduced_all: Vec<(u32, u8, u128)> = Vec::new();
-        // Peak bytes of one chunk's materialized states + successors.
-        let mut chunk_peak: u64 = 0;
-        let mut pos: u64 = 0;
-        while pos < layer_len {
-            let recs = reader.read_range(pos, chunk_states as usize)?;
-            let chunk: Vec<FrontierState<M>> =
-                recs.iter().map(|r| materialize(r, &pool)).collect();
-            let spill_ref = &spill;
-            // Workers filter against the in-RAM delta only (no I/O in
-            // the concurrent phase); flushed hashes are caught by the
-            // join below. The returned id is a placeholder — edge
-            // recording is off on this path.
-            let find = |_buf: &[u64], h: u128| spill_ref.contains_recent(h).then_some(0);
-            let outs = expand_layer(
-                &chunk,
-                &pending,
-                workers,
-                symmetry,
-                false,
-                por,
-                por,
-                mc.crash_loc(),
-                worker_base,
-                &find,
-            );
-            stats.transitions += outs.iter().map(|o| o.transitions).sum::<u64>();
-            let materialized: usize = outs.iter().map(|o| o.fresh.len()).sum();
-            chunk_peak = chunk_peak.max((chunk.len() + materialized) as u64 * per_state);
-            worker_base += outs.len() as u32;
-            for out in outs {
-                fresh_base.push(fresh_w.count());
-                for st in out.fresh {
-                    let st = st.expect("fresh states are untouched before the join");
-                    let ids: Vec<u32> = st
-                        .machines
-                        .iter()
-                        .enumerate()
-                        .map(|(slot, m)| pool.intern(slot, m, &mut keybuf))
-                        .collect();
-                    fresh_w.push(u32::MAX, &st.done, &ids, &st.snap)?;
-                }
-                for (fi, a, h) in out.reduced {
-                    reduced_all.push((pos as u32 + fi, a, h));
-                }
-            }
-            pos += recs.len() as u64;
-        }
-
-        // Sequential phase: drain pending in deterministic order, then
-        // drop every candidate the disk already knows.
-        let mut discovered: Vec<(u128, Pend)> = Vec::new();
-        for shard in pending {
-            let map = shard.into_inner().expect("shard poisoned");
-            discovered.extend(map.into_values().map(|p| (p.h, p)));
-        }
-        let candidate_n = discovered.len() as u64;
-        let mut old = spill.probe_old(discovered.iter().map(|&(h, _)| h))?;
-
-        // POR patch-up: the workers' proviso check only saw the in-RAM
-        // delta. A state left reduced whose ample successor turns out to
-        // be on disk would have been fully expanded by the in-RAM engine,
-        // so expand it fully here — sequentially and in frontier order,
-        // min-merging into the pending drain exactly as the workers would
-        // have. The frontier states involved are point-read back from the
-        // layer file; extra successors are appended to the candidate file
-        // under one more virtual worker id. Successors the delta knows
-        // are skipped (frozen hits); the rest are probed against disk in
-        // a second pass. This keeps states, ids and violation schedules
-        // bit-for-bit identical to the in-RAM engine under reduction.
-        if por {
-            let mut patch: Vec<(u32, u8)> = reduced_all
-                .iter()
-                .filter(|&&(_, _, h)| old.contains(&h))
-                .map(|&(fi, a, _)| (fi, a))
-                .collect();
-            if !patch.is_empty() {
-                patch.sort_unstable();
-                let mut index: HashMap128<usize> = discovered
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(h, _))| (h, i))
-                    .collect();
-                let virt = worker_base;
-                fresh_base.push(fresh_w.count());
-                let mut virt_idx: u32 = 0;
-                let mut extras: Vec<u128> = Vec::new();
-                let mut kb = KeyBuilder::default();
-                for &(fi, a) in &patch {
-                    let rec = reader.read_at(fi as u64)?;
-                    let st = materialize(&rec, &pool);
-                    for j in 0..st.machines.len() {
-                        if j == a as usize || st.done[j] {
-                            continue;
-                        }
-                        check_mem.restore(&st.snap);
-                        let mut mj = st.machines[j].clone();
-                        let done_j = mj.step(&check_mem).is_done();
-                        stats.transitions += 1;
-                        let kbuf = kb.build(
-                            &check_mem,
-                            &st.machines,
-                            &st.done,
-                            Some((j, &mj, done_j)),
-                            symmetry,
-                        );
-                        let h = hash128(kbuf);
-                        if spill.contains_recent(h) {
-                            continue;
-                        }
-                        if let Some(&di) = index.get(&h) {
-                            let p = &mut discovered[di].1;
-                            if (st.id, j as u8) < (p.parent, p.via) {
-                                p.parent = st.id;
-                                p.via = j as u8;
-                            }
-                            continue;
-                        }
-                        let mut machines = st.machines.clone();
-                        machines[j] = mj;
-                        let mut done = st.done.clone();
-                        done[j] = done_j;
-                        let ids: Vec<u32> = machines
-                            .iter()
-                            .enumerate()
-                            .map(|(slot, m)| pool.intern(slot, m, &mut keybuf))
-                            .collect();
-                        fresh_w.push(u32::MAX, &done, &ids, &check_mem.snapshot())?;
-                        index.insert(h, discovered.len());
-                        discovered.push((
-                            h,
-                            Pend {
-                                worker: virt,
-                                idx: virt_idx,
-                                parent: st.id,
-                                via: j as u8,
-                                h,
-                            },
-                        ));
-                        virt_idx += 1;
-                        extras.push(h);
-                    }
-                }
-                if !extras.is_empty() {
-                    old.extend(spill.probe_old(extras.into_iter())?);
-                }
-            }
-        }
-        frontier_disk_bytes += fresh_w.bytes();
-        fresh_w.finish()?;
-        let mut fresh_r = LayerReader::open(&fresh_path)?;
-        discovered.sort_unstable_by_key(|(_, p)| (p.parent, p.via));
-
-        let next_path = scratch.path().join(format!("layer-{}.flr", layer_idx + 1));
-        let mut next_w = LayerWriter::create(&next_path, words, nm)?;
-        for (h, p) in discovered {
-            if old.contains(&h) {
-                // Visited in an earlier, already-flushed layer: the
-                // in-RAM engine would have skipped it at expansion time.
-                continue;
-            }
-            let id = u32::try_from(stats.states).expect("state ids exceed u32");
-            stats.states += 1;
-            if stats.states as usize > mc.state_limit() {
-                stats.peak_resident_bytes = stats.peak_resident_bytes.max(
-                    spill.peak_recent_bytes
-                        + chunk_peak
-                        + pool.bytes()
-                        + candidate_n * (PEND_OVERHEAD_BYTES + HASH_BYTES as u64),
-                );
-                stats.spilled_bytes =
-                    spill.spilled_bytes + frontier_disk_bytes + parents.bytes();
-                return Err(CheckError::StateLimit {
-                    limit: mc.state_limit(),
-                    stats,
-                });
-            }
-            spill.insert_fresh(h)?;
-            parents.push(p.parent, p.via)?;
-            let rec = fresh_r.read_at(fresh_base[p.worker as usize] + p.idx as u64)?;
-            let term = rec.done.iter().all(|&d| d);
-            if term {
-                stats.terminal_states += 1;
-            }
-
-            check_mem.restore(&rec.snap);
-            let machines: Vec<M> = rec
-                .machine_ids
-                .iter()
-                .enumerate()
-                .map(|(slot, &mid)| pool.get(slot, mid))
-                .collect();
-            let world = World {
-                mem: &check_mem,
-                machines: &machines,
-                done: &rec.done,
-            };
-            if let Err(message) = invariant(&world) {
-                let schedule = parents.schedule_to(id)?;
-                let trace = mc.render_trace(&schedule);
-                stats.peak_resident_bytes = stats.peak_resident_bytes.max(
-                    spill.peak_recent_bytes
-                        + chunk_peak
-                        + pool.bytes()
-                        + candidate_n * (PEND_OVERHEAD_BYTES + HASH_BYTES as u64),
-                );
-                stats.spilled_bytes =
-                    spill.spilled_bytes + frontier_disk_bytes + parents.bytes();
-                return Err(CheckError::Violation(Box::new(Violation {
-                    message,
-                    schedule,
-                    trace,
-                    stats,
-                })));
-            }
-            next_w.push(id, &rec.done, &rec.machine_ids, &rec.snap)?;
-        }
-        frontier_disk_bytes += next_w.bytes();
-        let next_len = next_w.finish()?;
-
-        // Same deterministic accounting discipline as the in-RAM engine,
-        // with the delta's peak standing in for the visited set, the
-        // chunk peak for the frontier, and the machine pool counted
-        // honestly; parents and the layers themselves are on disk now.
-        let resident = spill.peak_recent_bytes
-            + chunk_peak
-            + pool.bytes()
-            + candidate_n * (PEND_OVERHEAD_BYTES + HASH_BYTES as u64);
-        stats.peak_resident_bytes = stats.peak_resident_bytes.max(resident);
-
         // The consumed layer and candidate files are dead: remove them
         // eagerly so disk usage stays O(current + next layer), not
         // O(total states).
-        drop(reader);
-        drop(fresh_r);
-        fs::remove_file(&layer_path)?;
-        fs::remove_file(&fresh_path)?;
-
-        if next_len > 0 {
-            stats.max_depth += 1;
+        self.cand_r = None;
+        if self.frontier.take().is_some() {
+            fs::remove_file(self.path("layer", self.layer - 1))?;
+            fs::remove_file(self.path("cand", self.layer - 1))?;
         }
-        layer_path = next_path;
-        layer_len = next_len;
-        layer_idx += 1;
+        self.frontier = Some(LayerReader::open(&self.path("layer", self.layer))?);
+        let cand = LayerWriter::create(&self.path("cand", self.layer), self.words, self.slots)?;
+        self.cand_w = Some(cand);
+        self.cand_base.clear();
+        self.layer += 1;
+        Ok(len)
     }
 
-    stats.spilled_bytes = spill.spilled_bytes + frontier_disk_bytes + parents.bytes();
-    Ok(Explored {
-        stats,
-        parent: Vec::new(),
-        terminal: Vec::new(),
-        edges: EdgeStore::Ram(Vec::new()),
-    })
+    fn with_chunk<R>(
+        &mut self,
+        pos: u64,
+        expand: impl FnOnce(&[FrontierState<M>]) -> R,
+    ) -> io::Result<(usize, R)> {
+        let n = self.chunk_states;
+        let recs = self.frontier().read_range(pos, n)?;
+        let chunk: Vec<FrontierState<M>> =
+            recs.into_iter().map(|r| self.materialize(r).0).collect();
+        Ok((chunk.len(), expand(&chunk)))
+    }
+
+    fn read_at(&mut self, ordinal: u64) -> io::Result<FrontierState<M>> {
+        let rec = self.frontier().read_at(ordinal)?;
+        Ok(self.materialize(rec).0)
+    }
+
+    fn keep(&mut self, fresh: Vec<Option<FrontierState<M>>>) -> io::Result<()> {
+        let w = self.cand_w.as_mut().expect("candidates are written before they are read");
+        self.cand_base.push(w.count());
+        for st in fresh {
+            let st = st.expect("fresh states are untouched before the join");
+            w.push(u32::MAX, &st.done, &self.pool.intern(&st.machines), &st.snap)?;
+        }
+        Ok(())
+    }
+
+    fn take_fresh(&mut self, p: &Pend) -> io::Result<Candidate<M>> {
+        self.parents.push(p.parent, p.via)?;
+        if let Some(w) = self.cand_w.take() {
+            self.file_bytes += w.bytes();
+            w.finish()?;
+            self.cand_r = Some(LayerReader::open(&self.path("cand", self.layer - 1))?);
+        }
+        let r = self.cand_r.as_mut().expect("the candidate file is sealed");
+        let rec = r.read_at(self.cand_base[p.worker as usize] + p.idx as u64)?;
+        let (st, ids) = self.materialize(rec);
+        Ok(Candidate { st, ids })
+    }
+
+    fn push_next(&mut self, c: Candidate<M>, id: u32) -> io::Result<()> {
+        self.next.push(id, &c.st.done, &c.ids, &c.st.snap)
+    }
+
+    fn schedule_to(&mut self, id: u32) -> io::Result<Vec<usize>> {
+        self.parents.schedule_to(id)
+    }
+
+    /// The machine intern pool; parents and the layers themselves are on
+    /// disk.
+    fn resident_bytes(&self) -> u64 {
+        self.pool.bytes()
+    }
+
+    fn spilled_bytes(&self) -> u64 {
+        self.file_bytes + self.parents.bytes()
+    }
 }

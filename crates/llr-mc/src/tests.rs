@@ -108,11 +108,32 @@ fn hashed_dedup_matches_exact() {
 fn state_limit_reported() {
     let mut layout = Layout::new();
     let x = layout.scalar("X", 0);
-    let mc = ModelChecker::new(layout, vec![Incr::new(x), Incr::new(x)]).max_states(2);
-    match mc.check(|_| Ok(())) {
-        Err(crate::checker::CheckError::StateLimit { limit, .. }) => assert_eq!(limit, 2),
-        other => panic!("expected state limit, got {other:?}"),
+    let mc = || ModelChecker::new(layout.clone(), vec![Incr::new(x), Incr::new(x)]).max_states(2);
+    let runs = [
+        ("dfs", mc().check(|_| Ok(()))),
+        ("bfs", mc().check_parallel(|_| Ok(()))),
+        ("bfs+spill", mc().spill_dir(std::env::temp_dir(), 0).check_parallel(|_| Ok(()))),
+    ];
+    for (engine, run) in runs {
+        match run {
+            Err(crate::checker::CheckError::StateLimit { limit, stats }) => {
+                assert_eq!(limit, 2, "{engine}");
+                assert_eq!(stats.states, 3, "{engine}: the bound is exceeded by one state");
+            }
+            other => panic!("{engine}: expected state limit, got {other:?}"),
+        }
     }
+}
+
+#[test]
+fn state_limit_fits_the_id_width() {
+    // State ids are `u32` with `u32::MAX` as the root's parent sentinel:
+    // an unbounded request resolves to a limit the ids can count to, so
+    // a huge run ends in `StateLimit` instead of overflowing an id.
+    let mut layout = Layout::new();
+    let x = layout.scalar("X", 0);
+    let mc = ModelChecker::new(layout, vec![Incr::new(x)]).max_states(usize::MAX);
+    assert!(mc.state_limit() <= u32::MAX as usize);
 }
 
 // ---------------------------------------------------------------------------
@@ -512,6 +533,14 @@ impl StepMachine for Flagger {
         format!("Flagger(pc={})", self.pc)
     }
 
+    fn footprint(&self, fp: &mut crate::Footprint) {
+        fp.write(self.x);
+        fp.future_write(self.x);
+        if self.pc != 0 {
+            fp.set_visible(); // the lowering step finishes the machine
+        }
+    }
+
     fn can_crash(&self) -> bool {
         true
     }
@@ -602,4 +631,30 @@ fn engines_agree_under_faults() {
     assert_eq!(seq.states, par.states);
     assert_eq!(seq.transitions, par.transitions);
     assert_eq!(seq.terminal_states, par.terminal_states);
+
+    // The disk stores under a zero budget match the RAM stores at the same
+    // POR setting. The space is larger than the 4096 hashes the delta's
+    // 64 KiB floor holds, so runs are flushed mid-layer and later layers
+    // meet old states only at the join.
+    let mut layout = Layout::new();
+    let regs: Vec<Loc> = (0..3).map(|r| layout.scalar(format!("R{r}"), 0)).collect();
+    let machines: Vec<Flagger> = (0..6).map(|i| Flagger { x: regs[i % 3], pc: 0 }).collect();
+    let run = |por: bool, spill: bool| {
+        let mc = ModelChecker::new(layout.clone(), machines.clone())
+            .faults(2)
+            .por(por)
+            .workers(3);
+        let mc = if spill { mc.spill_dir(std::env::temp_dir(), 0) } else { mc };
+        mc.check_parallel(|_| Ok(())).unwrap()
+    };
+    let full = run(false, false);
+    let reduced = run(true, false);
+    assert!(full.states > 4096, "{full}");
+    assert!(reduced.transitions < full.transitions, "POR acts once the budget is spent");
+    for (por, ram) in [(false, full), (true, reduced)] {
+        let disk = run(por, true);
+        assert_eq!(disk.states, ram.states, "por={por}");
+        assert_eq!(disk.transitions, ram.transitions, "por={por}");
+        assert_eq!(disk.terminal_states, ram.terminal_states, "por={por}");
+    }
 }
