@@ -3,6 +3,10 @@
 # third-party dependencies, so `--offline` must always succeed.
 #
 #   1. tier-1: release build + full test suite
+#   1b. member-crate unit tests: `cargo test` at the root runs only the
+#      root package's integration tests, so the unit and property tests
+#      inside llr-core (the protocols' own machines and exhaustive
+#      checks), llr-mem, llr-gf and llr-bench run here, in release.
 #   2. lint: clippy, warnings are errors
 #   3. docs: `cargo doc` with warnings denied (llr-mc carries
 #      `#![warn(missing_docs)]`, so every public item must stay
@@ -56,6 +60,9 @@ cargo build --release --offline
 
 echo "== tier-1: tests =="
 cargo test -q --offline
+
+echo "== member-crate unit tests (release) =="
+cargo test -q --offline --release -p llr-core -p llr-mem -p llr-gf -p llr-bench
 
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -296,29 +296,6 @@ fn bench_onetime_vs_longlived() {
     report("onetime_vs_longlived_k4", "split_longlived", ns);
 }
 
-fn bench_step_machine_overhead() {
-    // Ablation: the protocols are written as step machines so the model
-    // checker can run them; how much does that framing cost on the hot
-    // path versus a direct implementation?
-    for k in [4usize, 8] {
-        let split = Split::new(k);
-        let ns = time_ns_per_op(SOLO_BATCH, SOLO_SAMPLES, || {
-            for _ in 0..SOLO_BATCH {
-                solo_cycle(&split, 42);
-            }
-        });
-        report("step_machine_overhead", &format!("step_machine/{k}"), ns);
-        let ns = time_ns_per_op(SOLO_BATCH, SOLO_SAMPLES, || {
-            for _ in 0..SOLO_BATCH {
-                let mut h = split.native_handle(42);
-                std::hint::black_box(h.acquire());
-                h.release();
-            }
-        });
-        report("step_machine_overhead", &format!("native/{k}"), ns);
-    }
-}
-
 fn bench_release_policy() {
     // Ablation: FILTER's Figure-4 release policy vs eager loser release.
     use llr_core::filter::ReleasePolicy;
@@ -369,13 +346,12 @@ fn main() {
     println!("{:-<70}", "");
     println!("wall-clock benchmarks (median of samples; smaller is better)");
     println!("{:-<70}", "");
-    let groups: [(&str, fn()); 8] = [
+    let groups: [(&str, fn()); 7] = [
         ("solo_acquire_release", bench_solo),
         ("contended_throughput", bench_contended),
         ("contended_scaling", bench_contended_scaling),
         ("vs_source_space", bench_vs_source_space),
         ("onetime_vs_longlived", bench_onetime_vs_longlived),
-        ("step_machine_overhead", bench_step_machine_overhead),
         ("release_policy", bench_release_policy),
         ("substrate", bench_substrate),
     ];

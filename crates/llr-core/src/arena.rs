@@ -331,6 +331,10 @@ pub struct ArenaClient<'a, R: Renaming + 'a> {
 
 impl<R: Renaming> RenamingHandle for ArenaClient<'_, R> {
     fn acquire(&mut self) -> Name {
+        // Misuse is refused before the gate: a client already holding a
+        // permit would otherwise wait for a second one, forever on a full
+        // gate.
+        assert!(self.permit.is_none(), "acquire while holding a name");
         // The permit is a local until the protocol call returns: a panic
         // inside `handle.acquire()` unwinds through it and the gate gets
         // its slot back.
@@ -508,9 +512,8 @@ mod tests {
         let mut c = arena.client(7);
         c.acquire();
         assert_eq!(arena.free_permits(), 1);
-        // Misuse the handle: a second acquire while holding panics inside
-        // the protocol handle — *after* the gate admitted us. The RAII
-        // guard must hand the second permit straight back.
+        // Misuse the handle: a second acquire while holding panics. It
+        // must not take (or keep) a second permit.
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.acquire()));
         assert!(r.is_err(), "double acquire must panic");
         assert_eq!(
@@ -521,6 +524,28 @@ mod tests {
         // The survivor's own session is untouched.
         c.release();
         assert_eq!(arena.free_permits(), 2);
+    }
+
+    #[test]
+    fn double_acquire_on_a_full_gate_panics_instead_of_blocking() {
+        // One permit, held by the client itself: a second acquire must
+        // panic at once, not wait at the gate for a permit only this
+        // client could return. Run on its own thread so a regression
+        // fails the test instead of hanging it.
+        let arena: &'static _ = Box::leak(Box::new(NameArena::with_permits(Split::new(2), 1)));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let mut c = arena.client(7);
+            c.acquire();
+            let second = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.acquire()));
+            tx.send((second.is_err(), arena.free_permits())).unwrap();
+        });
+        let (panicked, free) = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("second acquire blocked at the gate");
+        client.join().unwrap();
+        assert!(panicked, "second acquire must panic");
+        assert_eq!(free, 0, "the holder keeps its one permit");
     }
 
     #[test]

@@ -452,6 +452,8 @@ pub mod spec {
         Ma {
             /// The SPLIT tree path to retrace once the MA write lands.
             split_path: PathVec,
+            /// The intermediate identity the MA stage runs under.
+            intermediate: Pid,
             /// The pending MA release machine.
             m: MaRelease,
         },
@@ -490,20 +492,17 @@ pub mod spec {
         }
 
         fn begin_acquire(&self) -> ChainAcquire {
-            ChainAcquire::Split(SplitAcquire::new(self.shape.split.clone(), self.pid))
+            ChainAcquire::Split(SplitAcquire::new())
         }
 
         fn step_acquire(&self, a: &mut ChainAcquire, mem: &dyn Memory) -> Option<ChainToken> {
             match a {
                 ChainAcquire::Split(m) => {
-                    if let Some(intermediate) = m.step(mem) {
-                        let split_path =
-                            std::mem::replace(m, SplitAcquire::new(self.shape.split.clone(), 0))
-                                .into_path();
+                    if let Some(intermediate) = m.step(&self.shape.split, self.pid, mem) {
                         *a = ChainAcquire::Ma {
-                            split_path,
+                            split_path: m.path_vec().clone(),
                             intermediate,
-                            m: MaAcquire::new(self.shape.ma.clone(), intermediate),
+                            m: MaAcquire::new(&self.shape.ma, intermediate),
                         };
                     }
                     None
@@ -512,35 +511,38 @@ pub mod spec {
                     split_path,
                     intermediate,
                     m,
-                } => m.step(mem).map(|name| ChainToken {
-                    split_path: std::mem::take(split_path),
-                    intermediate: *intermediate,
-                    cell: m.stopped_at().expect("stopped"),
-                    name,
-                }),
+                } => m
+                    .step(&self.shape.ma, *intermediate, mem)
+                    .map(|name| ChainToken {
+                        split_path: std::mem::take(split_path),
+                        intermediate: *intermediate,
+                        cell: m.stopped_at().expect("stopped"),
+                        name,
+                    }),
             }
         }
 
         fn begin_release(&self, t: ChainToken) -> ChainRelease {
             ChainRelease::Ma {
                 split_path: t.split_path,
-                m: MaRelease::new(self.shape.ma.clone(), t.intermediate, t.cell),
+                intermediate: t.intermediate,
+                m: MaRelease::new(t.cell),
             }
         }
 
         fn step_release(&self, r: &mut ChainRelease, mem: &dyn Memory) -> bool {
             match r {
-                ChainRelease::Ma { split_path, m } => {
-                    let done = m.step(mem);
+                ChainRelease::Ma {
+                    split_path,
+                    intermediate,
+                    m,
+                } => {
+                    let done = m.step(&self.shape.ma, *intermediate, mem);
                     debug_assert!(done, "MA release is a single write");
-                    *r = ChainRelease::Split(SplitRelease::new(
-                        self.shape.split.clone(),
-                        self.pid,
-                        std::mem::take(split_path),
-                    ));
+                    *r = ChainRelease::Split(SplitRelease::new(std::mem::take(split_path)));
                     false
                 }
-                ChainRelease::Split(rel) => rel.step(mem),
+                ChainRelease::Split(rel) => rel.step(&self.shape.split, self.pid, mem),
             }
         }
 
@@ -549,21 +551,25 @@ pub mod spec {
                 ChainAcquire::Split(m) => {
                     // Completing the SPLIT walk only hands off to the MA
                     // stage; the chain acquire continues.
-                    m.footprint(fp);
+                    m.footprint(&self.shape.split, fp);
                     false
                 }
-                ChainAcquire::Ma { m, .. } => m.footprint(fp),
+                ChainAcquire::Ma {
+                    intermediate, m, ..
+                } => m.footprint(&self.shape.ma, *intermediate, fp),
             }
         }
 
         fn release_footprint(&self, r: &ChainRelease, fp: &mut Footprint) -> bool {
             match r {
-                ChainRelease::Ma { m, .. } => {
+                ChainRelease::Ma {
+                    intermediate, m, ..
+                } => {
                     // The MA write's step hands off to the SPLIT unwind.
-                    m.footprint(fp);
+                    m.footprint(&self.shape.ma, *intermediate, fp);
                     false
                 }
-                ChainRelease::Split(rel) => rel.footprint(fp),
+                ChainRelease::Split(rel) => rel.footprint(&self.shape.split, fp),
             }
         }
 
@@ -578,15 +584,15 @@ pub mod spec {
 
         fn release_future_footprint(&self, r: &ChainRelease, fp: &mut Footprint) {
             match r {
-                ChainRelease::Ma { split_path, m } => {
-                    m.future_footprint(fp);
-                    for e in split_path.as_slice() {
-                        let regs = self.shape.split.regs(e.node);
-                        fp.future_read(regs.last);
-                        fp.future_write(regs.a1);
-                    }
+                ChainRelease::Ma {
+                    split_path,
+                    intermediate,
+                    m,
+                } => {
+                    m.future_footprint(&self.shape.ma, *intermediate, fp);
+                    self.shape.split.release_future_footprint(split_path, fp);
                 }
-                ChainRelease::Split(rel) => rel.future_footprint(fp),
+                ChainRelease::Split(rel) => rel.future_footprint(&self.shape.split, fp),
             }
         }
 
@@ -696,11 +702,7 @@ pub mod spec {
         pids: &[Pid],
         sessions: u8,
     ) -> Result<CheckStats, Box<Violation>> {
-        crate::session::run_check(
-            checker(k, pids, sessions),
-            &crate::session::Engine::Sequential,
-            unique_names_invariant,
-        )
+        crate::session::run_check(checker(k, pids, sessions), unique_names_invariant)
     }
 }
 

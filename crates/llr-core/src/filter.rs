@@ -199,65 +199,59 @@ enum Mode {
 }
 
 /// `GetName` (Figure 4) as a step machine: one shared access per step.
+/// The machine holds only its locals; the FILTER shape and the process id
+/// are passed to every call.
 #[derive(Clone, Debug)]
 pub struct FilterAcquire {
-    shape: FilterShape,
-    pid: Pid,
     names: Vec<Name>,
     progress: Vec<TreeProgress>,
     cur: usize,
     mode: Mode,
     acquired: Option<usize>,
     metrics: AcquireMetrics,
-    /// Wait-freedom tripwire: generous multiple of Theorem 10's bound.
-    check_budget: u64,
 }
 
 impl FilterAcquire {
-    /// Starts a `GetName` for registered process `pid`.
+    /// Starts a `GetName` for registered process `pid` on `shape`.
     ///
     /// # Panics
     ///
     /// Panics if `pid` was not registered when the shape was built.
-    pub fn new(shape: FilterShape, pid: Pid) -> Self {
+    pub fn new(shape: &FilterShape, pid: Pid) -> Self {
         assert!(
             shape.is_registered(pid),
             "pid {pid} was not registered with this FILTER instance"
         );
         let names = shape.params.name_sets().name_set(pid);
         let progress = vec![TreeProgress::new(); names.len()];
-        let first_side = TreeShape::side_at(pid, 1);
-        let check_budget = 50 * shape.params.max_checks() + 1_000;
         Self {
-            shape,
-            pid,
             names,
             progress,
             cur: 0,
-            mode: Mode::Entering(MeEnter::new(first_side)),
+            mode: Mode::Entering(MeEnter::new(TreeShape::side_at(pid, 1))),
             acquired: None,
             metrics: AcquireMetrics::new(),
-            check_budget,
         }
     }
 
-    /// Executes one atomic statement; returns the acquired name when done.
+    /// Executes one atomic statement of process `pid` on `shape`; returns
+    /// the acquired name when done.
     ///
     /// # Panics
     ///
     /// Panics if the number of checks wildly exceeds Theorem 10's
-    /// wait-freedom bound — which can only happen if more than `k`
-    /// processes use the object concurrently.
-    pub fn step(&mut self, mem: &dyn Memory) -> Option<Name> {
+    /// wait-freedom bound (a generous multiple of it) — which can only
+    /// happen if more than `k` processes use the object concurrently.
+    pub fn step(&mut self, shape: &FilterShape, pid: Pid, mem: &dyn Memory) -> Option<Name> {
         if let Some(i) = self.acquired {
             return Some(self.names[i]);
         }
         let m = self.names[self.cur];
-        let tree = self.shape.tree(m).clone();
+        let tree = shape.tree(m);
         match &mut self.mode {
             Mode::Entering(op) => {
                 let level = self.progress[self.cur].entered_level() + 1;
-                let regs = tree.block_for(self.pid, level);
+                let regs = tree.block_for(pid, level);
                 if let Some(own) = op.step(&regs, mem) {
                     self.progress[self.cur].push_entered(own);
                     self.metrics.enters += 1;
@@ -267,17 +261,17 @@ impl FilterAcquire {
             }
             Mode::Checking => {
                 let level = self.progress[self.cur].entered_level();
-                let regs = tree.block_for(self.pid, level);
-                let side = TreeShape::side_at(self.pid, level);
+                let regs = tree.block_for(pid, level);
+                let side = TreeShape::side_at(pid, level);
                 let own = self.progress[self.cur].own_at(level);
                 self.metrics.checks += 1;
+                let max_checks = shape.params.max_checks();
                 assert!(
-                    self.metrics.checks <= self.check_budget,
+                    self.metrics.checks <= 50 * max_checks + 1_000,
                     "wait-freedom tripwire: {} checks exceed 50× Theorem 10's bound \
-                     ({}); is the concurrency bound k = {} being violated?",
+                     ({max_checks}); is the concurrency bound k = {} being violated?",
                     self.metrics.checks,
-                    self.shape.params.max_checks(),
-                    self.shape.params.concurrency()
+                    shape.params.concurrency()
                 );
                 if pf::check(&regs, side, own, mem) {
                     self.metrics.advances_this_round += 1;
@@ -286,10 +280,10 @@ impl FilterAcquire {
                         self.acquired = Some(self.cur);
                         return Some(m);
                     }
-                    let next_side = TreeShape::side_at(self.pid, level + 1);
+                    let next_side = TreeShape::side_at(pid, level + 1);
                     self.mode = Mode::Entering(MeEnter::new(next_side));
                 } else {
-                    self.advance_tree();
+                    self.advance_tree(pid);
                 }
                 None
             }
@@ -298,7 +292,7 @@ impl FilterAcquire {
 
     /// Moves to the next tree in the round-robin order after a failed
     /// check (purely local).
-    fn advance_tree(&mut self) {
+    fn advance_tree(&mut self, pid: Pid) {
         self.cur = (self.cur + 1) % self.names.len();
         if self.cur == 0 {
             self.metrics.rounds += 1;
@@ -309,30 +303,31 @@ impl FilterAcquire {
             self.metrics.advances_this_round = 0;
         }
         self.mode = if self.progress[self.cur].entered_level() == 0 {
-            Mode::Entering(MeEnter::new(TreeShape::side_at(self.pid, 1)))
+            Mode::Entering(MeEnter::new(TreeShape::side_at(pid, 1)))
         } else {
             Mode::Checking
         };
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the `GetName`.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
+    /// Declares the register the next [`step`](Self::step) of `pid` on
+    /// `shape` touches into `fp`; returns `true` iff that step may
+    /// complete the `GetName`.
+    pub fn footprint(&self, shape: &FilterShape, pid: Pid, fp: &mut Footprint) -> bool {
         if self.acquired.is_some() {
             return true;
         }
-        let tree = self.shape.tree(self.names[self.cur]);
+        let tree = shape.tree(self.names[self.cur]);
         match &self.mode {
             Mode::Entering(op) => {
                 let level = self.progress[self.cur].entered_level() + 1;
-                op.footprint(&tree.block_for(self.pid, level), fp);
+                op.footprint(&tree.block_for(pid, level), fp);
                 false
             }
             Mode::Checking => {
                 let level = self.progress[self.cur].entered_level();
                 pf::check_footprint(
-                    &tree.block_for(self.pid, level),
-                    TreeShape::side_at(self.pid, level),
+                    &tree.block_for(pid, level),
+                    TreeShape::side_at(pid, level),
                     fp,
                 );
                 // Only winning a root check completes the GetName.
@@ -355,17 +350,12 @@ impl FilterAcquire {
         matches!(self.mode, Mode::Checking)
     }
 
-    /// The acquired name's index in the name set, once complete.
-    pub fn acquired_index(&self) -> Option<usize> {
-        self.acquired
-    }
-
-    /// The highest *confirmed-won* level in tree `i` (levels whose
-    /// critical section this process currently holds): used by the
+    /// The highest *confirmed-won* level in tree `i` of `shape` (levels
+    /// whose critical section this process currently holds): used by the
     /// model-checking invariants.
-    pub fn confirmed_level(&self, i: usize) -> usize {
+    pub fn confirmed_level(&self, shape: &FilterShape, i: usize) -> usize {
         if self.acquired == Some(i) {
-            return self.shape.tree(self.names[i]).levels();
+            return shape.tree(self.names[i]).levels();
         }
         let entered = self.progress[i].entered_level();
         if self.cur == i && matches!(self.mode, Mode::Entering(_)) {
@@ -384,9 +374,9 @@ impl FilterAcquire {
 
     /// Consumes the machine, yielding everything the matching
     /// [`FilterRelease`] needs.
-    pub fn into_position(self) -> FilterPosition {
+    pub fn into_position(self, shape: &FilterShape) -> FilterPosition {
         let confirmed = (0..self.names.len())
-            .map(|i| self.confirmed_level(i))
+            .map(|i| self.confirmed_level(shape, i))
             .collect();
         FilterPosition {
             names: self.names,
@@ -506,29 +496,23 @@ impl FilterPosition {
 }
 
 /// `ReleaseName` as a step machine: one register write (`nil`) per entered
-/// ME block, top-down within each tree.
+/// ME block, top-down within each tree. Like [`FilterAcquire`], it holds
+/// only its locals.
 #[derive(Clone, Debug)]
 pub struct FilterRelease {
-    shape: FilterShape,
-    pid: Pid,
     pos: FilterPosition,
     tree_idx: usize,
 }
 
 impl FilterRelease {
     /// Starts releasing all positions in `pos`.
-    pub fn new(shape: FilterShape, pid: Pid, pos: FilterPosition) -> Self {
-        Self {
-            shape,
-            pid,
-            pos,
-            tree_idx: 0,
-        }
+    pub fn new(pos: FilterPosition) -> Self {
+        Self { pos, tree_idx: 0 }
     }
 
-    /// Executes one atomic statement; returns `true` when every entered
-    /// block has been released.
-    pub fn step(&mut self, mem: &dyn Memory) -> bool {
+    /// Executes one atomic statement of process `pid` on `shape`; returns
+    /// `true` when every entered block has been released.
+    pub fn step(&mut self, shape: &FilterShape, pid: Pid, mem: &dyn Memory) -> bool {
         // Find the next tree that still has entered levels.
         while self.tree_idx < self.pos.names.len() {
             let prog = &mut self.pos.progress[self.tree_idx];
@@ -538,9 +522,8 @@ impl FilterRelease {
                 continue;
             }
             let m = self.pos.names[self.tree_idx];
-            let tree = self.shape.tree(m);
-            let regs = tree.block_for(self.pid, level);
-            pf::release(&regs, TreeShape::side_at(self.pid, level), mem);
+            let regs = shape.tree(m).block_for(pid, level);
+            pf::release(&regs, TreeShape::side_at(pid, level), mem);
             prog.pop_released();
             self.pos.confirmed[self.tree_idx] =
                 self.pos.confirmed[self.tree_idx].min(prog.entered_level());
@@ -559,23 +542,22 @@ impl FilterRelease {
     /// The highest level still *held-and-won* in tree `i` (shrinks as the
     /// release proceeds); used by the model-checking invariants.
     pub fn confirmed_level(&self, i: usize) -> usize {
-        self.pos.confirmed[i].min(self.pos.progress[i].entered_level())
+        self.pos.confirmed_level(i)
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the `ReleaseName`.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
+    /// Declares the register the next [`step`](Self::step) of `pid` on
+    /// `shape` touches into `fp`; returns `true` iff that step may
+    /// complete the `ReleaseName`.
+    pub fn footprint(&self, shape: &FilterShape, pid: Pid, fp: &mut Footprint) -> bool {
         let mut idx = self.tree_idx;
         while idx < self.pos.names.len() {
-            let prog = &self.pos.progress[idx];
-            let level = prog.entered_level();
+            let level = self.pos.progress[idx].entered_level();
             if level == 0 {
                 idx += 1;
                 continue;
             }
-            let tree = self.shape.tree(self.pos.names[idx]);
-            let regs = tree.block_for(self.pid, level);
-            pf::release_footprint(&regs, TreeShape::side_at(self.pid, level), fp);
+            let regs = shape.tree(self.pos.names[idx]).block_for(pid, level);
+            pf::release_footprint(&regs, TreeShape::side_at(pid, level), fp);
             return level == 1 && self.remaining_after(idx) == 0;
         }
         // Nothing entered: the next step completes without any access.
@@ -592,15 +574,15 @@ impl FilterRelease {
             .any(|p| p.entered_level() > 0)
     }
 
-    /// Adds every register the rest of this `ReleaseName` may touch — the
-    /// process's own side of each still-entered block — to `fp`'s future
-    /// sets.
-    pub fn future_footprint(&self, fp: &mut Footprint) {
+    /// Adds every register the rest of this `ReleaseName` of `pid` on
+    /// `shape` may touch — the process's own side of each still-entered
+    /// block — to `fp`'s future sets.
+    pub fn future_footprint(&self, shape: &FilterShape, pid: Pid, fp: &mut Footprint) {
         for idx in self.tree_idx..self.pos.names.len() {
-            let tree = self.shape.tree(self.pos.names[idx]);
+            let tree = shape.tree(self.pos.names[idx]);
             for level in 1..=self.pos.progress[idx].entered_level() {
-                let regs = tree.block_for(self.pid, level);
-                fp.future_write(regs.r[TreeShape::side_at(self.pid, level)]);
+                let regs = tree.block_for(pid, level);
+                fp.future_write(regs.r[TreeShape::side_at(pid, level)]);
             }
         }
     }
@@ -758,13 +740,14 @@ impl ProtocolCore for FilterCore {
     }
 
     fn begin_acquire(&self) -> FilterAcquire {
-        FilterAcquire::new(self.shape.clone(), self.pid)
+        FilterAcquire::new(&self.shape, self.pid)
     }
 
     fn step_acquire(&self, a: &mut FilterAcquire, mem: &dyn Memory) -> Option<FilterPosition> {
         // Clone-then-consume so the completed machine (and its metrics)
         // stays available to diagnostics like `FilterHandle::last_metrics`.
-        a.step(mem).map(|_| a.clone().into_position())
+        a.step(&self.shape, self.pid, mem)
+            .map(|_| a.clone().into_position(&self.shape))
     }
 
     fn prologue(&self, token: &mut FilterPosition) -> Option<FilterRelease> {
@@ -773,21 +756,21 @@ impl ProtocolCore for FilterCore {
             ReleasePolicy::EagerLosers => {
                 let (winner, losers) = token.clone().split_winner();
                 *token = winner;
-                Some(FilterRelease::new(self.shape.clone(), self.pid, losers))
+                Some(FilterRelease::new(losers))
             }
         }
     }
 
     fn begin_release(&self, pos: FilterPosition) -> FilterRelease {
-        FilterRelease::new(self.shape.clone(), self.pid, pos)
+        FilterRelease::new(pos)
     }
 
     fn step_release(&self, r: &mut FilterRelease, mem: &dyn Memory) -> bool {
-        r.step(mem)
+        r.step(&self.shape, self.pid, mem)
     }
 
     fn acquire_footprint(&self, a: &FilterAcquire, fp: &mut Footprint) -> bool {
-        let may_complete = a.footprint(fp);
+        let may_complete = a.footprint(&self.shape, self.pid, fp);
         // A check may succeed and confirm an ME block, changing
         // `won_blocks`; entry steps only push unconfirmed levels.
         if self.observe_blocks && a.is_checking() {
@@ -797,7 +780,7 @@ impl ProtocolCore for FilterCore {
     }
 
     fn release_footprint(&self, r: &FilterRelease, fp: &mut Footprint) -> bool {
-        let may_complete = r.footprint(fp);
+        let may_complete = r.footprint(&self.shape, self.pid, fp);
         // Every pop removes a block from `won_blocks`; a release with
         // nothing entered completes without touching the won set.
         if self.observe_blocks && r.has_entered() {
@@ -815,7 +798,7 @@ impl ProtocolCore for FilterCore {
     }
 
     fn release_future_footprint(&self, r: &FilterRelease, fp: &mut Footprint) {
-        r.future_footprint(fp);
+        r.future_footprint(&self.shape, self.pid, fp);
     }
 
     fn token_name(&self, pos: &FilterPosition) -> Option<Name> {
@@ -904,7 +887,7 @@ pub mod spec {
         /// `(name, level, block_index)` triples — the resource Lemma 6
         /// says no two processes share.
         pub fn won_blocks(&self) -> Vec<(Name, usize, u64)> {
-            let pid = self.core().pid;
+            let (shape, pid) = (&self.core().shape, self.core().pid);
             let collect = |names: &[Name], conf: &dyn Fn(usize) -> usize| {
                 let mut out = Vec::new();
                 for (i, &m) in names.iter().enumerate() {
@@ -916,7 +899,7 @@ pub mod spec {
             };
             match self.phase() {
                 SessionPhase::Idle => Vec::new(),
-                SessionPhase::Acquiring(a) => collect(a.names(), &|i| a.confirmed_level(i)),
+                SessionPhase::Acquiring(a) => collect(a.names(), &|i| a.confirmed_level(shape, i)),
                 SessionPhase::Prologue { rel, token } => {
                     let mut out = collect(rel.names(), &|i| rel.confirmed_level(i));
                     out.extend(collect(token.names(), &|i| token.confirmed_level(i)));
@@ -966,7 +949,6 @@ pub mod spec {
     ) -> Result<CheckStats, Box<Violation>> {
         crate::session::run_check(
             checker_with_policy(params, participants, sessions, policy),
-            &crate::session::Engine::Sequential,
             combined_invariant,
         )
     }
@@ -1045,11 +1027,7 @@ pub mod spec {
         participants: &[Pid],
         sessions: u8,
     ) -> Result<CheckStats, Box<Violation>> {
-        crate::session::run_check(
-            checker(params, participants, sessions),
-            &crate::session::Engine::Sequential,
-            combined_invariant,
-        )
+        crate::session::run_check(checker(params, participants, sessions), combined_invariant)
     }
 }
 
@@ -1231,9 +1209,9 @@ mod tests {
     fn split_winner_partitions_positions() {
         let f = Filter::new(tiny_params(), &[1, 3]).unwrap();
         let mem = Counting::new(&f.mem);
-        let mut m = FilterAcquire::new(f.shape.clone(), 1);
-        while m.step(&mem).is_none() {}
-        let pos = m.into_position();
+        let mut m = FilterAcquire::new(&f.shape, 1);
+        while m.step(&f.shape, 1, &mem).is_none() {}
+        let pos = m.into_position(&f.shape);
         let total_blocks = pos.entered_blocks().len();
         let name = pos.name().unwrap();
         let (winner, losers) = pos.split_winner();

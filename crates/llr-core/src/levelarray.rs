@@ -449,7 +449,7 @@ pub mod spec {
     //! atomic transition either way).
 
     use super::*;
-    use crate::session::{run_check, Engine, Session};
+    use crate::session::{run_check, Session};
     use llr_mc::{CheckStats, ModelChecker, Violation, World};
 
     /// A process running repeated LevelArray sessions: the generic session
@@ -488,7 +488,7 @@ pub mod spec {
         pids: &[Pid],
         sessions: u8,
     ) -> Result<CheckStats, Box<Violation>> {
-        run_check(checker(k, pids, sessions), &Engine::Sequential, unique_names_invariant)
+        run_check(checker(k, pids, sessions), unique_names_invariant)
     }
 }
 

@@ -24,12 +24,17 @@
 //!
 //! Every protocol is implemented once, as an explicit *step machine* (one
 //! shared-memory access per step — the paper's atomicity granularity) over
-//! the [`llr_mem`] register substrate. The same machine:
+//! the [`llr_mem`] register substrate. There is no second, hand-inlined
+//! fast path: the same machine
 //!
 //! * runs on real threads over [`llr_mem::AtomicMemory`] through the
-//!   [`traits::Renaming`] handle API, and
+//!   [`traits::Renaming`] handle API and the [`NameArena`] service, and
 //! * is **exhaustively model-checked** with [`llr_mc`] (all interleavings
 //!   of small configurations) — see the `spec` items in each module.
+//!
+//! A protocol's [`ProtocolCore`] owns the shape (register table) and the
+//! process id; its machines hold only their locals and take `&shape, pid`
+//! on every call (see [`session`]).
 //!
 //! # Quickstart
 //!

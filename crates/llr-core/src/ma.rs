@@ -177,10 +177,10 @@ enum BlockPc {
 }
 
 /// `GetName` as a step machine: walk the grid, one shared access per step.
+/// The machine holds only its locals; the grid shape and the process id
+/// are passed to every call.
 #[derive(Clone, Debug)]
 pub struct MaAcquire {
-    shape: MaShape,
-    pid: Pid,
     r: usize,
     c: usize,
     pc: BlockPc,
@@ -193,16 +193,14 @@ pub struct MaAcquire {
 const MAX_RESTARTS: u64 = 100_000;
 
 impl MaAcquire {
-    /// Starts a `GetName` for process `pid`.
+    /// Starts a `GetName` for process `pid` on the grid `shape`.
     ///
     /// # Panics
     ///
     /// Panics if `pid ≥ S`.
-    pub fn new(shape: MaShape, pid: Pid) -> Self {
+    pub fn new(shape: &MaShape, pid: Pid) -> Self {
         assert!(pid < shape.s, "pid {pid} outside source space {}", shape.s);
         Self {
-            shape,
-            pid,
             r: 0,
             c: 0,
             pc: BlockPc::WriteX,
@@ -211,59 +209,60 @@ impl MaAcquire {
         }
     }
 
-    /// Executes one atomic statement; returns the acquired name when done.
+    /// Executes one atomic statement of process `pid` on the grid `shape`;
+    /// returns the acquired name when done.
     ///
     /// # Panics
     ///
     /// Panics if the walk restarts more than a generous tripwire bound
     /// (possible only under sustained adversarial scheduling).
-    pub fn step(&mut self, mem: &dyn Memory) -> Option<Name> {
+    pub fn step(&mut self, shape: &MaShape, pid: Pid, mem: &dyn Memory) -> Option<Name> {
         if let Some(name) = self.name {
             return Some(name);
         }
-        let block = self.shape.block(self.r, self.c).clone();
+        let block = shape.block(self.r, self.c);
         match self.pc {
             BlockPc::WriteX => {
-                mem.write(block.x, self.pid);
+                mem.write(block.x, pid);
                 self.pc = BlockPc::Scan(0);
                 None
             }
             BlockPc::Scan(i) => {
                 // Skip our own slot (it can only be stale-free: we cleared
                 // it before leaving any block).
-                if i == self.pid {
+                if i == pid {
                     self.pc = BlockPc::Scan(i + 1);
-                    return self.step(mem);
+                    return self.step(shape, pid, mem);
                 }
-                if i >= self.shape.s {
+                if i >= shape.s {
                     self.pc = BlockPc::PublishY;
-                    return self.step(mem);
+                    return self.step(shape, pid, mem);
                 }
                 if mem.read(block.y.at(i as usize)) == TRUE {
-                    self.move_to(Outcome::Right);
+                    self.move_to(shape, Outcome::Right);
                 } else {
                     self.pc = BlockPc::Scan(i + 1);
                 }
                 None
             }
             BlockPc::PublishY => {
-                mem.write(block.y.at(self.pid as usize), TRUE);
+                mem.write(block.y.at(pid as usize), TRUE);
                 self.pc = BlockPc::ReadX;
                 None
             }
             BlockPc::ReadX => {
-                if mem.read(block.x) == self.pid {
+                if mem.read(block.x) == pid {
                     // Stop: this cell's name is ours; our Y bit stays set
                     // until release.
-                    self.name = Some(self.shape.cell_name(self.r, self.c));
+                    self.name = Some(shape.cell_name(self.r, self.c));
                     return self.name;
                 }
                 self.pc = BlockPc::WithdrawY;
                 None
             }
             BlockPc::WithdrawY => {
-                mem.write(block.y.at(self.pid as usize), FALSE);
-                self.move_to(Outcome::Down);
+                mem.write(block.y.at(pid as usize), FALSE);
+                self.move_to(shape, Outcome::Down);
                 None
             }
         }
@@ -271,20 +270,20 @@ impl MaAcquire {
 
     /// Local move to the next cell (or restart from the origin when the
     /// walk falls off the diagonal).
-    fn move_to(&mut self, outcome: Outcome) {
+    fn move_to(&mut self, shape: &MaShape, outcome: Outcome) {
         let (nr, nc) = match outcome {
             Outcome::Right => (self.r, self.c + 1),
             Outcome::Down => (self.r + 1, self.c),
             Outcome::Stop => unreachable!("stop is terminal"),
         };
-        if nr + nc > self.shape.k - 1 {
+        if nr + nc > shape.k - 1 {
             self.restarts += 1;
             assert!(
                 self.restarts <= MAX_RESTARTS,
                 "MA grid walk restarted {} times; the concurrency bound \
                  k = {} is being violated or the scheduler is adversarial",
                 self.restarts,
-                self.shape.k
+                shape.k
             );
             self.r = 0;
             self.c = 0;
@@ -295,35 +294,36 @@ impl MaAcquire {
         self.pc = BlockPc::WriteX;
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the `GetName`.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
+    /// Declares the register the next [`step`](Self::step) of `pid` on
+    /// `shape` touches into `fp`; returns `true` iff that step may
+    /// complete the `GetName`.
+    pub fn footprint(&self, shape: &MaShape, pid: Pid, fp: &mut Footprint) -> bool {
         if self.name.is_some() {
             return true;
         }
-        let block = self.shape.block(self.r, self.c);
+        let block = shape.block(self.r, self.c);
         match self.pc {
             BlockPc::WriteX => fp.write(block.x),
             BlockPc::Scan(i) => {
                 // Mirror step()'s local skips: our own slot is passed over,
                 // and a scan past the end performs PublishY's write.
                 let mut j = i;
-                if j == self.pid {
+                if j == pid {
                     j += 1;
                 }
-                if j >= self.shape.s {
-                    fp.write(block.y.at(self.pid as usize));
+                if j >= shape.s {
+                    fp.write(block.y.at(pid as usize));
                 } else {
                     fp.read(block.y.at(j as usize));
                 }
             }
-            BlockPc::PublishY => fp.write(block.y.at(self.pid as usize)),
+            BlockPc::PublishY => fp.write(block.y.at(pid as usize)),
             BlockPc::ReadX => {
                 fp.read(block.x);
                 // Re-reading our own pid stops the walk here.
                 return true;
             }
-            BlockPc::WithdrawY => fp.write(block.y.at(self.pid as usize)),
+            BlockPc::WithdrawY => fp.write(block.y.at(pid as usize)),
         }
         false
     }
@@ -364,33 +364,32 @@ impl MaAcquire {
 }
 
 /// `ReleaseName` as a step machine: clear the stop cell's presence bit
-/// (one write).
-#[derive(Clone, Debug)]
+/// (one write). Like [`MaAcquire`], it holds only its locals.
+#[derive(Clone, Copy, Debug)]
 pub struct MaRelease {
-    shape: MaShape,
-    pid: Pid,
     cell: (usize, usize),
     done: bool,
 }
 
 impl MaRelease {
     /// Starts releasing the name of `cell`.
-    pub fn new(shape: MaShape, pid: Pid, cell: (usize, usize)) -> Self {
-        Self {
-            shape,
-            pid,
-            cell,
-            done: false,
-        }
+    pub fn new(cell: (usize, usize)) -> Self {
+        Self { cell, done: false }
     }
 
-    /// Executes the single release write; returns `true` when done.
-    pub fn step(&mut self, mem: &dyn Memory) -> bool {
+    /// The presence bit of `pid` in the stop cell: the release's one
+    /// register.
+    fn slot(&self, shape: &MaShape, pid: Pid) -> Loc {
+        shape.block(self.cell.0, self.cell.1).y.at(pid as usize)
+    }
+
+    /// Executes the single release write of process `pid` on the grid
+    /// `shape`; returns `true` when done.
+    pub fn step(&mut self, shape: &MaShape, pid: Pid, mem: &dyn Memory) -> bool {
         if !self.done {
-            let block = self.shape.block(self.cell.0, self.cell.1);
             // The release's only access: Release ordering suffices (see
             // llr-mem's AtomicMemory docs).
-            mem.write_rel(block.y.at(self.pid as usize), FALSE);
+            mem.write_rel(self.slot(shape, pid), FALSE);
             self.done = true;
         }
         true
@@ -398,18 +397,16 @@ impl MaRelease {
 
     /// Declares the single release write into `fp` (nothing once done);
     /// the next [`step`](Self::step) always completes.
-    pub fn footprint(&self, fp: &mut Footprint) {
+    pub fn footprint(&self, shape: &MaShape, pid: Pid, fp: &mut Footprint) {
         if !self.done {
-            let block = self.shape.block(self.cell.0, self.cell.1);
-            fp.write(block.y.at(self.pid as usize));
+            fp.write(self.slot(shape, pid));
         }
     }
 
     /// Adds the pending release write to `fp`'s future sets.
-    pub fn future_footprint(&self, fp: &mut Footprint) {
+    pub fn future_footprint(&self, shape: &MaShape, pid: Pid, fp: &mut Footprint) {
         if !self.done {
-            let block = self.shape.block(self.cell.0, self.cell.1);
-            fp.future_write(block.y.at(self.pid as usize));
+            fp.future_write(self.slot(shape, pid));
         }
     }
 
@@ -461,27 +458,28 @@ impl ProtocolCore for MaCore {
     }
 
     fn begin_acquire(&self) -> MaAcquire {
-        MaAcquire::new(self.shape.clone(), self.pid)
+        MaAcquire::new(&self.shape, self.pid)
     }
 
     fn step_acquire(&self, a: &mut MaAcquire, mem: &dyn Memory) -> Option<(usize, usize)> {
-        a.step(mem).map(|_| a.stopped_at().expect("stopped"))
+        a.step(&self.shape, self.pid, mem)
+            .map(|_| a.stopped_at().expect("stopped"))
     }
 
     fn begin_release(&self, cell: (usize, usize)) -> MaRelease {
-        MaRelease::new(self.shape.clone(), self.pid, cell)
+        MaRelease::new(cell)
     }
 
     fn step_release(&self, r: &mut MaRelease, mem: &dyn Memory) -> bool {
-        r.step(mem)
+        r.step(&self.shape, self.pid, mem)
     }
 
     fn acquire_footprint(&self, a: &MaAcquire, fp: &mut Footprint) -> bool {
-        a.footprint(fp)
+        a.footprint(&self.shape, self.pid, fp)
     }
 
     fn release_footprint(&self, r: &MaRelease, fp: &mut Footprint) -> bool {
-        r.footprint(fp);
+        r.footprint(&self.shape, self.pid, fp);
         true
     }
 
@@ -490,7 +488,7 @@ impl ProtocolCore for MaCore {
     }
 
     fn release_future_footprint(&self, r: &MaRelease, fp: &mut Footprint) {
-        r.future_footprint(fp);
+        r.future_footprint(&self.shape, self.pid, fp);
     }
 
     fn token_name(&self, cell: &(usize, usize)) -> Option<Name> {
@@ -588,7 +586,7 @@ pub mod spec {
     //! invariant are all the generic ones from [`crate::session`].
 
     use super::*;
-    use crate::session::{run_check, Engine};
+    use crate::session::run_check;
     use llr_mc::{CheckStats, ModelChecker, Violation, World};
 
     /// A process performing `sessions` × (`GetName`; dwell; `ReleaseName`):
@@ -632,11 +630,7 @@ pub mod spec {
         pids: &[Pid],
         sessions: u8,
     ) -> Result<CheckStats, Box<Violation>> {
-        run_check(
-            checker(k, s, pids, sessions),
-            &Engine::Sequential,
-            unique_names_invariant,
-        )
+        run_check(checker(k, s, pids, sessions), unique_names_invariant)
     }
 }
 

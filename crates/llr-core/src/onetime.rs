@@ -98,11 +98,10 @@ impl OneTimeShape {
     }
 }
 
-/// One-time `GetName` as a step machine.
-#[derive(Clone, Debug)]
+/// One-time `GetName` as a step machine. The machine holds only its
+/// locals; the grid shape and the process id are passed to every call.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct OneTimeAcquire {
-    shape: OneTimeShape,
-    pid: Pid,
     r: usize,
     c: usize,
     pc: u8,
@@ -110,28 +109,22 @@ pub struct OneTimeAcquire {
 }
 
 impl OneTimeAcquire {
-    /// Starts the (single) `GetName` of process `pid`.
-    pub fn new(shape: OneTimeShape, pid: Pid) -> Self {
-        Self {
-            shape,
-            pid,
-            r: 0,
-            c: 0,
-            pc: 0,
-            name: None,
-        }
+    /// Starts the (single) `GetName` at the grid's origin.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Executes one atomic statement; returns the acquired name when done.
-    pub fn step(&mut self, mem: &dyn Memory) -> Option<Name> {
+    /// Executes one atomic statement of process `pid` on the grid `shape`;
+    /// returns the acquired name when done.
+    pub fn step(&mut self, shape: &OneTimeShape, pid: Pid, mem: &dyn Memory) -> Option<Name> {
         if let Some(name) = self.name {
             return Some(name);
         }
-        let b = self.shape.block(self.r, self.c);
+        let b = shape.block(self.r, self.c);
         match self.pc {
             // X ← p
             0 => {
-                mem.write(b.x, self.pid);
+                mem.write(b.x, pid);
                 self.pc = 1;
             }
             // if Y then Right
@@ -139,7 +132,7 @@ impl OneTimeAcquire {
                 if mem.read(b.y) == TRUE {
                     self.c += 1;
                     self.pc = 0;
-                    self.check_bounds();
+                    self.check_bounds(shape.k);
                 } else {
                     self.pc = 2;
                 }
@@ -151,34 +144,34 @@ impl OneTimeAcquire {
             }
             // if X = p then Stop else Down
             _ => {
-                if mem.read(b.x) == self.pid {
-                    self.name = Some(self.shape.cell_name(self.r, self.c));
+                if mem.read(b.x) == pid {
+                    self.name = Some(shape.cell_name(self.r, self.c));
                     return self.name;
                 }
                 self.r += 1;
                 self.pc = 0;
-                self.check_bounds();
+                self.check_bounds(shape.k);
             }
         }
         None
     }
 
-    fn check_bounds(&mut self) {
+    fn check_bounds(&self, k: usize) {
         assert!(
-            self.r + self.c < self.shape.k,
-            "one-time grid walk fell off the triangle: more than k = {} \
-             processes, or a pid was reused",
-            self.shape.k
+            self.r + self.c < k,
+            "one-time grid walk fell off the triangle: more than k = {k} \
+             processes, or a pid was reused"
         );
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the `GetName`.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
+    /// Declares the register the next [`step`](Self::step) on `shape`
+    /// touches into `fp`; returns `true` iff that step may complete the
+    /// `GetName`.
+    pub fn footprint(&self, shape: &OneTimeShape, fp: &mut Footprint) -> bool {
         if self.name.is_some() {
             return true;
         }
-        let b = self.shape.block(self.r, self.c);
+        let b = shape.block(self.r, self.c);
         match self.pc {
             0 => fp.write(b.x),
             1 => fp.read(b.y),
@@ -250,9 +243,9 @@ impl OneTimeGrid {
     pub fn get_name(&self, pid: Pid) -> (Name, u64) {
         assert!(pid < self.s, "pid {pid} outside source space {}", self.s);
         let mem = Counting::new(&self.mem);
-        let mut m = OneTimeAcquire::new(self.shape.clone(), pid);
+        let mut m = OneTimeAcquire::new();
         let name = loop {
-            if let Some(n) = m.step(&mem) {
+            if let Some(n) = m.step(&self.shape, pid, &mem) {
                 break n;
             }
         };
@@ -293,11 +286,11 @@ impl crate::session::ProtocolCore for OneTimeCore {
     }
 
     fn begin_acquire(&self) -> OneTimeAcquire {
-        OneTimeAcquire::new(self.shape.clone(), self.pid)
+        OneTimeAcquire::new()
     }
 
     fn step_acquire(&self, a: &mut OneTimeAcquire, mem: &dyn Memory) -> Option<Name> {
-        a.step(mem)
+        a.step(&self.shape, self.pid, mem)
     }
 
     fn begin_release(&self, _name: Name) {}
@@ -307,7 +300,7 @@ impl crate::session::ProtocolCore for OneTimeCore {
     }
 
     fn acquire_footprint(&self, a: &OneTimeAcquire, fp: &mut Footprint) -> bool {
-        a.footprint(fp)
+        a.footprint(&self.shape, fp)
     }
 
     fn release_footprint(&self, _r: &(), _fp: &mut Footprint) -> bool {
@@ -363,7 +356,7 @@ pub mod spec {
     //! [`crate::session`].
 
     use super::*;
-    use crate::session::{run_check, Engine, Session};
+    use crate::session::{run_check, Session};
     use llr_mc::{CheckStats, ModelChecker, Violation, World};
 
     /// A process acquiring its single one-time name: the generic session
@@ -409,7 +402,7 @@ pub mod spec {
     /// Returns the violating schedule if two processes can acquire the
     /// same name.
     pub fn check_onetime(k: usize, pids: &[Pid]) -> Result<CheckStats, Box<Violation>> {
-        run_check(checker(k, pids), &Engine::Sequential, unique_names_invariant)
+        run_check(checker(k, pids), unique_names_invariant)
     }
 }
 

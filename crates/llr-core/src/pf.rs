@@ -380,7 +380,7 @@ pub mod spec {
     //! and key encoding are the generic ones from [`crate::session`].
 
     use super::*;
-    use crate::session::{run_check, Engine, Session};
+    use crate::session::{run_check, Session};
     use llr_mc::{CheckStats, ModelChecker, Violation, World};
 
     /// One competitor performing `sessions` × (enter; spin; critical;
@@ -453,7 +453,7 @@ pub mod spec {
     ///
     /// Returns the violating schedule if exclusion can be broken.
     pub fn check_exclusion(sessions: u8) -> Result<CheckStats, Box<Violation>> {
-        run_check(checker(sessions), &Engine::Sequential, mutual_exclusion)
+        run_check(checker(sessions), mutual_exclusion)
     }
 
     /// Exhaustively verifies absence of *stuck* states: in every reachable
@@ -466,7 +466,7 @@ pub mod spec {
     ///
     /// Returns the violating schedule if a deadlock state is reachable.
     pub fn check_no_deadlock(sessions: u8) -> Result<CheckStats, Box<Violation>> {
-        run_check(checker(sessions), &Engine::Sequential, no_deadlock_invariant)
+        run_check(checker(sessions), no_deadlock_invariant)
     }
 }
 

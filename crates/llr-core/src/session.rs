@@ -11,13 +11,19 @@
 //! * [`unique_names_invariant`] — the paper's uniqueness condition,
 //!   parameterized by [`Session::holding`] and the protocol's destination
 //!   bound;
-//! * [`run_check`] — the check driver, selecting the sequential /
-//!   parallel / spill engines through [`Engine`].
+//! * [`run_check`] — the exhaustive check behind every protocol's
+//!   `check_*` function (the sequential checker; the other engines are
+//!   reached through [`ModelChecker`] itself).
 //!
 //! # How a protocol plugs in
 //!
 //! Implement [`ProtocolCore`] on a small per-process value (shape +
-//! pid). The four associated behaviours are the whole contract:
+//! pid). The core owns the shape and the pid; the acquire and release
+//! machines hold only their locals (program counter, path, progress) and
+//! are handed `&shape, pid` on every call, as in
+//! [`EnterOp::step`](crate::splitter::EnterOp::step). So one session's
+//! shape and pid live in one place, and cloning a machine copies no
+//! shared table. The four associated behaviours are the whole contract:
 //!
 //! 1. `begin_acquire` / `step_acquire` — the GetName machine; a step
 //!    performs at most one shared access and yields the [`Token`]
@@ -65,8 +71,6 @@ use llr_mc::{
 };
 use llr_mem::{AtomicMemory, Counting, Memory, Word};
 use std::fmt::Debug;
-
-pub use llr_mc::Engine;
 
 /// A protocol's per-process view: shape + pid + the two step machines.
 ///
@@ -661,10 +665,9 @@ pub fn crash_robust_uniqueness<P: ProtocolCore>(
     Ok(())
 }
 
-/// Runs `invariant` over every reachable state of `checker` on the
-/// backend named by `engine`, converting the result into the protocol
-/// `check_*` convention: `Ok(stats)` when verified, the boxed
-/// counterexample when violated.
+/// Runs `invariant` over every reachable state of `checker` (sequential
+/// DFS), converting the result into the protocol `check_*` convention:
+/// `Ok(stats)` when verified, the boxed counterexample when violated.
 ///
 /// # Panics
 ///
@@ -672,14 +675,13 @@ pub fn crash_robust_uniqueness<P: ProtocolCore>(
 /// since a protocol check that did not finish proves nothing.
 pub fn run_check<P, F>(
     checker: ModelChecker<Session<P>>,
-    engine: &Engine,
     invariant: F,
 ) -> Result<CheckStats, Box<Violation>>
 where
     P: ProtocolCore,
     F: Fn(&World<'_, Session<P>>) -> Result<(), String>,
 {
-    match checker.check_with(engine, invariant) {
+    match checker.check(invariant) {
         Ok(stats) => Ok(stats),
         Err(CheckError::Violation(v)) => Err(v),
         Err(e) => panic!("model checking did not complete: {e}"),

@@ -143,11 +143,11 @@ impl SmallNetShape {
 }
 
 /// The network walk as a step machine: the classic three-line splitter at
-/// every cell before the free diagonal, zero accesses on it.
-#[derive(Clone, Debug)]
+/// every cell before the free diagonal, zero accesses on it. The machine
+/// holds only its locals; the network shape and the process id are passed
+/// to every call.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SmallNetAcquire {
-    shape: SmallNetShape,
-    pid: Pid,
     r: usize,
     c: usize,
     pc: u8,
@@ -155,32 +155,33 @@ pub struct SmallNetAcquire {
 }
 
 impl SmallNetAcquire {
-    /// Starts the (single) walk of process `pid`.
-    pub fn new(shape: SmallNetShape, pid: Pid) -> Self {
-        Self { shape, pid, r: 0, c: 0, pc: 0, name: None }
+    /// Starts the (single) walk at the network's origin.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// `true` iff the walk sits on the register-free final diagonal.
-    fn on_free_diagonal(&self) -> bool {
-        self.r + self.c == self.shape.ell
+    fn on_free_diagonal(&self, shape: &SmallNetShape) -> bool {
+        self.r + self.c == shape.ell
     }
 
-    /// Executes one atomic statement; returns the acquired name when done.
-    pub fn step(&mut self, mem: &dyn Memory) -> Option<Name> {
+    /// Executes one atomic statement of process `pid` on the network
+    /// `shape`; returns the acquired name when done.
+    pub fn step(&mut self, shape: &SmallNetShape, pid: Pid, mem: &dyn Memory) -> Option<Name> {
         if let Some(name) = self.name {
             return Some(name);
         }
-        if self.on_free_diagonal() {
+        if self.on_free_diagonal(shape) {
             // At most one process reaches each final-diagonal cell: the
             // name is free for the taking, no registers involved.
-            self.name = Some(self.shape.cell_name(self.r, self.c));
+            self.name = Some(shape.cell_name(self.r, self.c));
             return self.name;
         }
-        let s = self.shape.splitter(self.r, self.c);
+        let s = shape.splitter(self.r, self.c);
         match self.pc {
             // X ← p
             0 => {
-                mem.write(s.x, self.pid);
+                mem.write(s.x, pid);
                 self.pc = 1;
             }
             // if Y then Right
@@ -188,7 +189,7 @@ impl SmallNetAcquire {
                 if mem.read(s.y) == TRUE {
                     self.c += 1;
                     self.pc = 0;
-                    return self.take_if_free();
+                    return self.take_if_free(shape);
                 }
                 self.pc = 2;
             }
@@ -199,13 +200,13 @@ impl SmallNetAcquire {
             }
             // if X = p then Stop else Down
             _ => {
-                if mem.read(s.x) == self.pid {
-                    self.name = Some(self.shape.cell_name(self.r, self.c));
+                if mem.read(s.x) == pid {
+                    self.name = Some(shape.cell_name(self.r, self.c));
                     return self.name;
                 }
                 self.r += 1;
                 self.pc = 0;
-                return self.take_if_free();
+                return self.take_if_free(shape);
             }
         }
         None
@@ -214,27 +215,28 @@ impl SmallNetAcquire {
     /// After a Right/Down move: if it landed on the free diagonal, the
     /// name is taken in the same step (the move's read was the step's one
     /// access; the free cell costs none).
-    fn take_if_free(&mut self) -> Option<Name> {
-        if self.on_free_diagonal() {
-            self.name = Some(self.shape.cell_name(self.r, self.c));
+    fn take_if_free(&mut self, shape: &SmallNetShape) -> Option<Name> {
+        if self.on_free_diagonal(shape) {
+            self.name = Some(shape.cell_name(self.r, self.c));
         }
         self.name
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the walk.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
-        if self.name.is_some() || self.on_free_diagonal() {
+    /// Declares the register the next [`step`](Self::step) on `shape`
+    /// touches into `fp`; returns `true` iff that step may complete the
+    /// walk.
+    pub fn footprint(&self, shape: &SmallNetShape, fp: &mut Footprint) -> bool {
+        if self.name.is_some() || self.on_free_diagonal(shape) {
             // Completing (or free-cell) step: no accesses.
             return true;
         }
-        let s = self.shape.splitter(self.r, self.c);
+        let s = shape.splitter(self.r, self.c);
         match self.pc {
             0 => fp.write(s.x),
             // A Right move may land on the free diagonal and complete.
             1 => {
                 fp.read(s.y);
-                return self.r + self.c + 1 == self.shape.ell;
+                return self.r + self.c + 1 == shape.ell;
             }
             2 => fp.write(s.y),
             // Stop completes here; a Down move may land on the free
@@ -305,11 +307,11 @@ impl ProtocolCore for SmallNetCore {
     }
 
     fn begin_acquire(&self) -> SmallNetAcquire {
-        SmallNetAcquire::new(self.shape.clone(), self.pid)
+        SmallNetAcquire::new()
     }
 
     fn step_acquire(&self, a: &mut SmallNetAcquire, mem: &dyn Memory) -> Option<Name> {
-        a.step(mem)
+        a.step(&self.shape, self.pid, mem)
     }
 
     fn begin_release(&self, _name: Name) {}
@@ -319,7 +321,7 @@ impl ProtocolCore for SmallNetCore {
     }
 
     fn acquire_footprint(&self, a: &SmallNetAcquire, fp: &mut Footprint) -> bool {
-        a.footprint(fp)
+        a.footprint(&self.shape, fp)
     }
 
     fn release_footprint(&self, _r: &(), _fp: &mut Footprint) -> bool {
@@ -403,9 +405,9 @@ impl SmallNet {
     /// most `ℓ + 1` processes may do so in total.
     pub fn get_name(&self, pid: Pid) -> (Name, u64) {
         let mem = Counting::new(&self.mem);
-        let mut m = SmallNetAcquire::new(self.shape.clone(), pid);
+        let mut m = SmallNetAcquire::new();
         let name = loop {
-            if let Some(n) = m.step(&mem) {
+            if let Some(n) = m.step(&self.shape, pid, &mem) {
                 break n;
             }
         };
@@ -548,9 +550,9 @@ impl RenamingHandle for RenewableHandle<'_> {
         assert!(self.held.is_none(), "acquire while holding a name");
         let (gen, entry) = self.net.enter();
         let mem = Counting::new(&gen.mem);
-        let mut m = SmallNetAcquire::new(gen.shape.clone(), entry);
+        let mut m = SmallNetAcquire::new();
         let name = loop {
-            if let Some(n) = m.step(&mem) {
+            if let Some(n) = m.step(&gen.shape, entry, &mem) {
                 break n;
             }
         };
@@ -583,7 +585,7 @@ pub mod spec {
     //! [`crate::session`].
 
     use super::*;
-    use crate::session::{run_check, Engine};
+    use crate::session::run_check;
     use llr_mc::{CheckStats, ModelChecker, Violation, World};
 
     /// A process acquiring its single name: the generic session machine
@@ -618,7 +620,7 @@ pub mod spec {
     /// Returns the violating schedule if two processes can acquire the
     /// same name.
     pub fn check_smallnet(ell: usize, pids: &[Pid]) -> Result<CheckStats, Box<Violation>> {
-        run_check(checker(ell, pids), &Engine::Sequential, unique_names_invariant)
+        run_check(checker(ell, pids), unique_names_invariant)
     }
 }
 

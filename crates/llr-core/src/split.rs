@@ -36,11 +36,11 @@
 
 use crate::session::{Handle, ProtocolCore, Session};
 use crate::splitter::{EnterOp, ReleaseOp, SplitterRegs};
-use crate::traits::{Renaming, RenamingHandle};
+use crate::traits::Renaming;
 use crate::types::enc::Adv;
 use crate::types::{Direction, Name, Pid};
 use llr_mc::Footprint;
-use llr_mem::{AtomicMemory, Counting, Layout, MemPolicy, Memory, Word};
+use llr_mem::{AtomicMemory, Layout, MemPolicy, Memory, Word};
 use std::fmt;
 use std::sync::Arc;
 
@@ -110,6 +110,16 @@ impl SplitShape {
             regs.future_footprint(fp);
         }
     }
+
+    /// Adds the release footprint of every splitter on `path` (its `LAST`
+    /// read and `ADVICE[1]` write) to `fp`'s future sets.
+    pub fn release_future_footprint(&self, path: &[PathEntry], fp: &mut Footprint) {
+        for e in path {
+            let regs = self.regs(e.node);
+            fp.future_read(regs.last);
+            fp.future_write(regs.a1);
+        }
+    }
 }
 
 /// One entry of an acquisition path: which splitter was entered and the
@@ -174,11 +184,6 @@ impl PathVec {
     pub fn as_slice(&self) -> &[PathEntry] {
         &self.entries[..self.len as usize]
     }
-
-    /// Empties the path.
-    pub fn clear(&mut self) {
-        self.len = 0;
-    }
 }
 
 impl Default for PathVec {
@@ -210,80 +215,58 @@ impl PartialEq for PathVec {
 impl Eq for PathVec {}
 
 /// `GetName` as a step machine: descend the splitter tree, one shared
-/// access per step.
-#[derive(Clone, Debug)]
+/// access per step. The machine holds only its locals; the tree shape and
+/// the process id are passed to every call, as in [`EnterOp::step`].
+#[derive(Clone, Debug, Default)]
 pub struct SplitAcquire {
-    shape: SplitShape,
-    pid: Pid,
     node: u64,
-    depth: usize,
     op: EnterOp,
+    /// The splitters entered so far: one per level descended, so its
+    /// length is the current depth.
     path: PathVec,
     /// The name accumulated so far: `Σ digit(h)·3^h` over the levels
     /// descended. Equivalent to (and cheaper than) keeping the digit
-    /// string — given `depth`, the two are in bijection.
+    /// string — given the depth, the two are in bijection.
     acc_name: u64,
-    name: Option<Name>,
 }
 
 impl SplitAcquire {
-    /// Starts a `GetName` for process `pid`.
-    pub fn new(shape: SplitShape, pid: Pid) -> Self {
-        Self {
-            shape,
-            pid,
-            node: 0,
-            depth: 0,
-            op: EnterOp::new(),
-            path: PathVec::new(),
-            acc_name: 0,
-            name: None,
-        }
+    /// Starts a `GetName` at the root.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Executes one atomic statement; returns the acquired name when done.
+    fn depth(&self) -> usize {
+        self.path.len()
+    }
+
+    /// Executes one atomic statement of process `pid` on the tree `shape`;
+    /// returns the acquired name when done.
     ///
     /// With `k = 1` the tree has depth 0 and the (vacuous) root leaf is the
     /// name: the first call returns `Some(0)` without touching memory.
-    pub fn step(&mut self, mem: &dyn Memory) -> Option<Name> {
-        if let Some(name) = self.name {
-            return Some(name);
+    pub fn step(&mut self, shape: &SplitShape, pid: Pid, mem: &dyn Memory) -> Option<Name> {
+        if self.depth() == shape.k - 1 {
+            // At a (vacuous) leaf: the accumulated path encoding is the
+            // name.
+            return Some(self.acc_name);
         }
-        if self.depth == self.shape.k - 1 {
-            // Reached a (vacuous) leaf: the accumulated path encoding is
-            // the name.
-            self.name = Some(self.acc_name);
-            return self.name;
-        }
-        let regs = self.shape.regs(self.node);
-        if let Some(dir) = self.op.step(&regs, self.pid, mem) {
+        if let Some(dir) = self.op.step(&shape.regs(self.node), pid, mem) {
+            self.acc_name += dir.digit() as u64 * 3u64.pow(self.depth() as u32);
             self.path.push(PathEntry {
                 node: self.node,
                 advice: self.op.advice(),
                 adv2: self.op.adv2(),
             });
-            self.acc_name += dir.digit() as u64 * 3u64.pow(self.depth as u32);
             self.node = SplitShape::child(self.node, dir);
-            self.depth += 1;
             self.op = EnterOp::new();
-            if self.depth == self.shape.k - 1 {
+            if self.depth() == shape.k - 1 {
                 // Complete now so completion does not cost an extra
                 // scheduled step.
-                self.name = Some(self.acc_name);
-                return self.name;
+                return Some(self.acc_name);
             }
         }
         None
-    }
-
-    /// The acquired name, once complete.
-    pub fn name(&self) -> Option<Name> {
-        self.name
-    }
-
-    /// The splitters entered so far (full path once complete).
-    pub fn path(&self) -> &[PathEntry] {
-        &self.path
     }
 
     /// The splitters entered so far as the inline path vector (cloned by
@@ -298,21 +281,21 @@ impl SplitAcquire {
         self.path
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the `GetName`.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
-        if self.name.is_some() || self.depth == self.shape.k - 1 {
+    /// Declares the register the next [`step`](Self::step) on `shape`
+    /// touches into `fp`; returns `true` iff that step may complete the
+    /// `GetName`.
+    pub fn footprint(&self, shape: &SplitShape, fp: &mut Footprint) -> bool {
+        if self.depth() == shape.k - 1 {
             // Completing is a pure-local name computation (k = 1 start).
             return true;
         }
-        let regs = self.shape.regs(self.node);
-        self.op.footprint(&regs, fp) && self.depth + 1 == self.shape.k - 1
+        self.op.footprint(&shape.regs(self.node), fp) && self.depth() + 1 == shape.k - 1
     }
 
     /// Encodes machine state for model-checker keys.
     pub fn key(&self, out: &mut Vec<Word>) {
         out.push(self.node);
-        out.push(self.depth as u64);
+        out.push(self.depth() as u64);
         self.op.key(out);
         // The accumulated partial name determines the digit string (given
         // depth, the two are in bijection); path entries' advice+adv2
@@ -326,16 +309,14 @@ impl SplitAcquire {
 
     /// Short state description for traces.
     pub fn describe(&self) -> String {
-        format!("Acquire@depth{} node{} {}", self.depth, self.node, self.op.describe())
+        format!("Acquire@depth{} node{} {}", self.depth(), self.node, self.op.describe())
     }
 }
 
 /// `ReleaseName` as a step machine: release the path's splitters deepest
-/// first.
+/// first. Like [`SplitAcquire`], it holds only its locals.
 #[derive(Clone, Debug)]
 pub struct SplitRelease {
-    shape: SplitShape,
-    pid: Pid,
     path: PathVec,
     /// Index of the entry currently being released (runs from the end of
     /// the path down to 0).
@@ -345,29 +326,24 @@ pub struct SplitRelease {
 
 impl SplitRelease {
     /// Starts a `ReleaseName` for the splitters recorded in `path`.
-    pub fn new(shape: SplitShape, pid: Pid, path: PathVec) -> Self {
+    pub fn new(path: PathVec) -> Self {
         let idx = path.len();
         Self {
-            shape,
-            pid,
             path,
             idx,
             op: ReleaseOp::new(),
         }
     }
 
-    /// Executes one atomic statement; returns `true` when every splitter
-    /// on the path has been released.
-    pub fn step(&mut self, mem: &dyn Memory) -> bool {
+    /// Executes one atomic statement of process `pid` on the tree `shape`;
+    /// returns `true` when every splitter on the path has been released.
+    pub fn step(&mut self, shape: &SplitShape, pid: Pid, mem: &dyn Memory) -> bool {
         if self.idx == 0 {
             return true;
         }
         let entry = self.path[self.idx - 1];
-        let regs = self.shape.regs(entry.node);
-        if self
-            .op
-            .step(&regs, self.pid, entry.advice, entry.adv2, mem)
-        {
+        let regs = shape.regs(entry.node);
+        if self.op.step(&regs, pid, entry.advice, entry.adv2, mem) {
             self.idx -= 1;
             self.op = ReleaseOp::new();
             if self.idx == 0 {
@@ -377,26 +353,23 @@ impl SplitRelease {
         false
     }
 
-    /// Declares the register the next [`step`](Self::step) touches into
-    /// `fp`; returns `true` iff that step may complete the `ReleaseName`.
-    pub fn footprint(&self, fp: &mut Footprint) -> bool {
+    /// Declares the register the next [`step`](Self::step) on `shape`
+    /// touches into `fp`; returns `true` iff that step may complete the
+    /// `ReleaseName`.
+    pub fn footprint(&self, shape: &SplitShape, fp: &mut Footprint) -> bool {
         if self.idx == 0 {
             return true;
         }
         let entry = self.path[self.idx - 1];
-        self.op.footprint(&self.shape.regs(entry.node), fp);
+        self.op.footprint(&shape.regs(entry.node), fp);
         self.idx == 1
     }
 
     /// Adds every register the rest of this `ReleaseName` may touch to
     /// `fp`'s future sets: the release footprint of each splitter still on
     /// the path.
-    pub fn future_footprint(&self, fp: &mut Footprint) {
-        for e in &self.path[..self.idx] {
-            let regs = self.shape.regs(e.node);
-            fp.future_read(regs.last);
-            fp.future_write(regs.a1);
-        }
+    pub fn future_footprint(&self, shape: &SplitShape, fp: &mut Footprint) {
+        shape.release_future_footprint(&self.path[..self.idx], fp);
     }
 
     /// Encodes machine state for model-checker keys.
@@ -465,32 +438,32 @@ impl ProtocolCore for SplitCore {
     }
 
     fn begin_acquire(&self) -> SplitAcquire {
-        SplitAcquire::new(self.shape.clone(), self.pid)
+        SplitAcquire::new()
     }
 
     fn step_acquire(&self, a: &mut SplitAcquire, mem: &dyn Memory) -> Option<SplitToken> {
         // The path clone is an inline memcpy (PathVec), not a heap
         // allocation: steady-state acquire stays allocation-free.
-        a.step(mem).map(|name| SplitToken {
+        a.step(&self.shape, self.pid, mem).map(|name| SplitToken {
             name,
             path: a.path_vec().clone(),
         })
     }
 
     fn begin_release(&self, token: SplitToken) -> SplitRelease {
-        SplitRelease::new(self.shape.clone(), self.pid, token.path)
+        SplitRelease::new(token.path)
     }
 
     fn step_release(&self, r: &mut SplitRelease, mem: &dyn Memory) -> bool {
-        r.step(mem)
+        r.step(&self.shape, self.pid, mem)
     }
 
     fn acquire_footprint(&self, a: &SplitAcquire, fp: &mut Footprint) -> bool {
-        a.footprint(fp)
+        a.footprint(&self.shape, fp)
     }
 
     fn release_footprint(&self, r: &SplitRelease, fp: &mut Footprint) -> bool {
-        r.footprint(fp)
+        r.footprint(&self.shape, fp)
     }
 
     fn future_footprint(&self, fp: &mut Footprint) {
@@ -498,7 +471,7 @@ impl ProtocolCore for SplitCore {
     }
 
     fn release_future_footprint(&self, r: &SplitRelease, fp: &mut Footprint) {
-        r.future_footprint(fp);
+        r.future_footprint(&self.shape, fp);
     }
 
     fn token_name(&self, token: &SplitToken) -> Option<Name> {
@@ -601,86 +574,13 @@ impl Renaming for Split {
 /// driving [`SplitCore`]'s machines.
 pub type SplitHandle<'a> = Handle<'a, SplitCore>;
 
-impl Split {
-    /// A handle that drives the splitters through the direct
-    /// [`crate::splitter::native`] fast path instead of the step
-    /// machines — same protocol, same accesses, no per-step dispatch.
-    /// Used by the `ablation` benchmarks; differential-tested against
-    /// the step-machine handle.
-    pub fn native_handle(&self, pid: Pid) -> NativeSplitHandle<'_> {
-        NativeSplitHandle {
-            split: self,
-            pid,
-            held: None,
-            path: PathVec::new(),
-            accesses: 0,
-        }
-    }
-}
-
-/// Fast-path process handle on a [`Split`] object (see
-/// [`Split::native_handle`]).
-#[derive(Debug)]
-pub struct NativeSplitHandle<'a> {
-    split: &'a Split,
-    pid: Pid,
-    held: Option<Name>,
-    path: PathVec,
-    accesses: u64,
-}
-
-impl RenamingHandle for NativeSplitHandle<'_> {
-    fn acquire(&mut self) -> Name {
-        assert!(self.held.is_none(), "acquire while holding a name");
-        let mem = Counting::new(&self.split.mem);
-        let k = self.split.shape.k;
-        let mut node = 0u64;
-        let mut name = 0u64;
-        for depth in 0..k.saturating_sub(1) {
-            let regs = self.split.shape.regs(node);
-            let (dir, advice, adv2) =
-                crate::splitter::native::enter(&regs, self.pid, &mem);
-            self.path.push(PathEntry { node, advice, adv2 });
-            name += dir.digit() as u64 * 3u64.pow(depth as u32);
-            node = SplitShape::child(node, dir);
-        }
-        self.accesses += mem.accesses();
-        self.held = Some(name);
-        name
-    }
-
-    fn release(&mut self) {
-        assert!(self.held.is_some(), "release without holding a name");
-        self.held = None;
-        let mem = Counting::new(&self.split.mem);
-        for entry in self.path.as_slice().iter().rev() {
-            let regs = self.split.shape.regs(entry.node);
-            crate::splitter::native::release(&regs, self.pid, entry.advice, entry.adv2, &mem);
-        }
-        self.path.clear();
-        self.accesses += mem.accesses();
-    }
-
-    fn pid(&self) -> Pid {
-        self.pid
-    }
-
-    fn held(&self) -> Option<Name> {
-        self.held
-    }
-
-    fn accesses(&self) -> u64 {
-        self.accesses
-    }
-}
-
 pub mod spec {
     //! Model-checkable specification of SPLIT: uniqueness of held names
     //! under every interleaving. The session loop, key encoding, and
     //! invariant are all the generic ones from [`crate::session`].
 
     use super::*;
-    use crate::session::{run_check, Engine};
+    use crate::session::run_check;
     use llr_mc::{CheckStats, ModelChecker, Violation, World};
 
     /// A process performing `sessions` × (`GetName`; dwell; `ReleaseName`):
@@ -724,11 +624,7 @@ pub mod spec {
         procs: usize,
         sessions: u8,
     ) -> Result<CheckStats, Box<Violation>> {
-        run_check(
-            checker(k, procs, sessions),
-            &Engine::Sequential,
-            unique_names_invariant,
-        )
+        run_check(checker(k, procs, sessions), unique_names_invariant)
     }
 }
 
@@ -736,6 +632,7 @@ pub mod spec {
 mod tests {
     use super::*;
     use crate::traits::test_support::sequential_cycle;
+    use crate::traits::RenamingHandle;
 
     #[test]
     fn shape_counts() {
@@ -836,58 +733,6 @@ mod tests {
             .check_always_terminable()
             .expect("SPLIT is wait-free: no trap states");
         assert!(stats.terminal_states >= 1);
-    }
-
-    #[test]
-    fn native_handle_matches_step_machine_sequentially() {
-        // Two Split instances, identical operation sequences, one driven
-        // by step machines and one by the native fast path: every name
-        // and every access count must agree.
-        let a = Split::new(4);
-        let b = Split::new(4);
-        for round in 0..30u64 {
-            let pid = round * 7_919 + 3;
-            let mut ha = a.handle(pid);
-            let mut hb = b.native_handle(pid);
-            let na = ha.acquire();
-            let nb = hb.acquire();
-            assert_eq!(na, nb, "round {round}");
-            ha.release();
-            hb.release();
-            assert_eq!(ha.accesses(), hb.accesses(), "round {round}");
-        }
-    }
-
-    #[test]
-    fn native_handle_stress() {
-        let split = std::sync::Arc::new(Split::new(4));
-        let claimed: std::sync::Arc<Vec<std::sync::atomic::AtomicBool>> =
-            std::sync::Arc::new(
-                (0..split.dest_size())
-                    .map(|_| std::sync::atomic::AtomicBool::new(false))
-                    .collect(),
-            );
-        let hs: Vec<_> = (0..4u64)
-            .map(|i| {
-                let split = std::sync::Arc::clone(&split);
-                let claimed = std::sync::Arc::clone(&claimed);
-                std::thread::spawn(move || {
-                    let mut h = split.native_handle(i * 104_729 + 1);
-                    for _ in 0..500 {
-                        let n = h.acquire();
-                        let was = claimed[n as usize]
-                            .swap(true, std::sync::atomic::Ordering::SeqCst);
-                        assert!(!was, "name {n} double-held");
-                        claimed[n as usize]
-                            .store(false, std::sync::atomic::Ordering::SeqCst);
-                        h.release();
-                    }
-                })
-            })
-            .collect();
-        for h in hs {
-            h.join().unwrap();
-        }
     }
 
     #[test]

@@ -330,45 +330,6 @@ impl ReleaseOp {
     }
 }
 
-pub mod native {
-    //! Direct (non-step-machine) splitter operations: the production fast
-    //! path, free of per-step dispatch. Semantically identical to
-    //! [`EnterOp`]/[`ReleaseOp`] (differential-tested in `split::tests`
-    //! and benchmarked in the `ablation` Criterion group).
-
-    use super::*;
-
-    /// `Enter(B, p)` in one call; returns the output set and the
-    /// `(advice, adv2)` locals the release needs.
-    pub fn enter<M: Memory>(regs: &SplitterRegs, pid: Pid, mem: &M) -> (Direction, Adv, bool) {
-        mem.write(regs.last, pid);
-        let advice = match Adv::from_word(mem.read(regs.a1)) {
-            Some(a) => a,
-            None => Adv::from_word(mem.read(regs.a2)).unwrap_or(Adv::Pos),
-        };
-        mem.write(regs.a1, advice.flipped().word());
-        let adv2 = mem.read(regs.last) == pid;
-        if adv2 {
-            mem.write(regs.a2, advice.flipped().word());
-        }
-        let dir = if mem.read(regs.last) == pid {
-            advice.direction()
-        } else {
-            Direction::Middle
-        };
-        (dir, advice, adv2)
-    }
-
-    /// `Release(B, p)` in one call.
-    pub fn release<M: Memory>(regs: &SplitterRegs, pid: Pid, advice: Adv, adv2: bool, mem: &M) {
-        if mem.read(regs.last) == pid {
-            mem.write_rel(regs.a1, advice.word());
-        } else if !adv2 {
-            mem.write_rel(regs.a1, enc::BOT);
-        }
-    }
-}
-
 /// The splitter's [`ProtocolCore`][crate::session::ProtocolCore]: one
 /// process's identity plus the splitter's registers. The "name" a session
 /// holds is its output set (a [`Direction`]), so the splitter plugs into
@@ -550,7 +511,6 @@ pub mod spec {
     ) -> Result<CheckStats, Box<Violation>> {
         crate::session::run_check(
             checker(ell, sessions, init_last, init_a1, init_a2),
-            &crate::session::Engine::Sequential,
             output_set_invariant,
         )
     }

@@ -459,7 +459,7 @@ pub mod spec {
     //! generic ones from [`crate::session`].
 
     use super::*;
-    use crate::session::{run_check, Engine, Session};
+    use crate::session::{run_check, Session};
     use llr_mc::{CheckStats, ModelChecker, Violation, World};
 
     /// A process repeatedly acquiring the tree's root critical section:
@@ -513,11 +513,7 @@ pub mod spec {
         participants: &[Pid],
         sessions: u8,
     ) -> Result<CheckStats, Box<Violation>> {
-        run_check(
-            checker(s, participants, sessions),
-            &Engine::Sequential,
-            root_exclusion,
-        )
+        run_check(checker(s, participants, sessions), root_exclusion)
     }
 }
 

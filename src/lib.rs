@@ -41,9 +41,10 @@
 //! ```
 
 pub use llr_core::{chain, filter, harness, ma, onetime, pf, split, splitter, tournament};
-pub use llr_core::session::{self, Engine, Handle, ProtocolCore, Session, SessionPhase};
+pub use llr_core::session::{self, Handle, ProtocolCore, Session, SessionPhase};
 pub use llr_core::traits::{Renaming, RenamingHandle};
 pub use llr_core::types::{Direction, Name, Pid};
+pub use llr_mc::Engine;
 
 /// The whole protocol crate, for paths not re-exported above.
 pub use llr_core as core_protocols;
